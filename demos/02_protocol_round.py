@@ -26,8 +26,8 @@ from gxstplc import (
 config = AsymmConfig(UNEVEN_NINE, x_vec=(1, 2), t_vec=(1, 2))
 params = setup(config)
 print(f"field F_{params.field.q}, decoding {params.l_value} symbols per round")
-print("server points alpha:", [a.value for a in params.alpha])
-print("slot points f:", [f.value for f in params.f])
+print("server points alpha:", params.alpha.tolist())
+print("slot points f:", params.f.tolist())
 
 # the messages and the user's combining coefficients, chosen by hand
 messages = MessageBank.from_ints(
@@ -42,14 +42,14 @@ coeffs = CoefficientBank.from_ints(
 )
 
 # encoding adds Vandermonde-combined noise; queries mask the
-# coefficients the same way, with the slot factor keeping them aligned
+# coefficients the same way, with the slot factor keeping them aligned.
+# Each set's blocks are one array, [server of the group, slot, message];
+# server 1 is the first member of set 1's group
 shares = encode_storage(config, params, messages, rng_seed=2024)
 queries = generate_queries(config, params, coeffs, rng_seed=2025)
 
-print("\nshare of set 1 at server 1:",
-      [[e.value for e in blk] for blk in shares.blocks[(1, 1)]])
-print("query for set 1 at server 1:",
-      [[e.value for e in blk] for blk in queries.blocks[(1, 1)]])
+print("\nshare of set 1 at server 1:", shares.blocks[0][0].tolist())
+print("query for set 1 at server 1:", queries.blocks[0][0].tolist())
 
 answers = collect_answers(config, params, shares, queries)
 print("\nanswers (one symbol per server):", [a.value for a in answers])

@@ -23,6 +23,7 @@ from gxstplc import (
     privacy_rank_certificate,
     security_rank_certificate,
     setup,
+    virtual_config,
 )
 
 # a three-server toy system small enough for full enumeration
@@ -50,10 +51,7 @@ for violation in broken.violations:
 # virtual copies, and the certificates still clear every subset
 cap = asymptotic_capacity(GRAPH_SIX, 1, 1)
 aug = generate_augmented_system(GRAPH_SIX, 1, 1, cap)
-virtual_config = AsymmConfig(
-    aug.virtual_pattern(), aug.x_bar, aug.t_bar, aug.l_value
-)
-report = merged_scheme_audit(aug, setup(virtual_config), 1, 1)
+report = merged_scheme_audit(aug, setup(virtual_config(aug)), 1, 1)
 print(f"\nmerged six-server audit: checked {report.checked_subsets} "
       f"collusion subsets, passed = {report.passed}")
 assert report.passed

@@ -19,8 +19,8 @@ from math import comb
 
 from .augment import AugmentedSystem
 from .errors import DimensionMismatch, ScaleExceeded
-from .ff import FieldMatrix, mat_rank
-from .scheme import AsymmConfig, SchemeParams
+from .ff import rank_mod
+from .scheme import AsymmConfig, SchemeParams, virtual_config
 
 _EXHAUSTIVE_CELL_CAP = 10**7
 _EXHAUSTIVE_SUBSET_CAP = 5000
@@ -66,11 +66,9 @@ def _security_violation(config: AsymmConfig, params: SchemeParams,
     x_m = config.x_vec[m - 1]
     if s > x_m:
         return f"{s} colluders in the group exceed the threshold {x_m}"
-    rows = [
-        [params.alpha[n - 1] ** (x - 1) for x in range(1, x_m + 1)]
-        for n in hit
-    ]
-    rank = mat_rank(FieldMatrix.from_rows(params.field, rows))
+    q = params.field.q
+    rows = [[pow(int(params.alpha[n - 1]), x, q) for x in range(x_m)] for n in hit]
+    rank = rank_mod(rows, q)
     if rank != s:
         return f"storage noise covers rank {rank} of {s} observed shares"
     return None
@@ -86,16 +84,11 @@ def _privacy_violation(config: AsymmConfig, params: SchemeParams,
     t_m = config.t_vec[m - 1]
     if s > t_m:
         return f"{s} colluders in the group exceed the threshold {t_m}"
-    for l in range(1, params.l_value + 1):
-        f_l = params.f[l - 1]
-        rows = [
-            [
-                (params.alpha[n - 1] - f_l) * params.alpha[n - 1] ** (t - 1)
-                for t in range(1, t_m + 1)
-            ]
-            for n in hit
-        ]
-        rank = mat_rank(FieldMatrix.from_rows(params.field, rows))
+    q = params.field.q
+    points = [int(params.alpha[n - 1]) for n in hit]
+    for l, f_l in enumerate(params.f.tolist(), start=1):
+        rows = [[(a - f_l) * pow(a, t, q) % q for t in range(t_m)] for a in points]
+        rank = rank_mod(rows, q)
         if rank != s:
             return f"query noise covers rank {rank} of {s} at slot {l}"
     return None
@@ -164,21 +157,16 @@ def _independence_side(config: AsymmConfig, params: SchemeParams,
     # the flat assignment (secrets first, then noise)
     forms: list[list[tuple[int, int]]] = []
     for n in sorted(subset):
-        a_n = params.alpha[n - 1]
+        a_n = int(params.alpha[n - 1])
         for m in _hosted_sets(config, n):
-            for l in range(1, l_value + 1):
-                f_l = params.f[l - 1]
+            for l, f_l in enumerate(params.f.tolist(), start=1):
                 if side == "storage":
-                    secret_coeff = (a_n - f_l).inverse().value
-                    noise_coeffs = [
-                        (a_n ** (x - 1)).value
-                        for x in range(1, depths[m - 1] + 1)
-                    ]
+                    secret_coeff = pow(a_n - f_l, q - 2, q)
+                    noise_coeffs = [pow(a_n, x, q) for x in range(depths[m - 1])]
                 else:
-                    secret_coeff = params.u[m - 1][l - 1].value
+                    secret_coeff = int(params.u[m - 1, l - 1])
                     noise_coeffs = [
-                        ((a_n - f_l) * a_n ** (t - 1)).value
-                        for t in range(1, depths[m - 1] + 1)
+                        (a_n - f_l) * pow(a_n, t, q) % q for t in range(depths[m - 1])
                     ]
                 for k in range(1, config.pattern.count_of(m) + 1):
                     term = [(secret_index[(m, k, l)], secret_coeff)]
@@ -271,9 +259,7 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
     Small systems are swept exhaustively; larger ones fall back to a
     deterministic sample and say so.
     """
-    config = AsymmConfig(
-        a.virtual_pattern(), x_vec=a.x_bar, t_vec=a.t_bar, l_value=a.l_value
-    )
+    config = virtual_config(a)
     if params.groups != tuple(config.pattern.servers_of(m + 1)
                               for m in range(config.m_count)):
         raise DimensionMismatch("params were built for a different system")
@@ -293,13 +279,6 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
             size = rng.randint(1, limit)
             yield tuple(sorted(rng.sample(range(1, n + 1), size)))
 
-    def exposed(originals: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(
-            a.flat_id((srv, i))
-            for srv in originals
-            for i in range(1, a.tau[srv - 1] + 1)
-        )
-
     violations: list[Violation] = []
     notes: list[str] = []
     checked = 0
@@ -308,7 +287,7 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
     else:
         for originals in original_subsets(x):
             checked += 1
-            virtual_subset = exposed(originals)
+            virtual_subset = a.exposed(originals)
             for m in range(1, config.m_count + 1):
                 detail = _security_violation(config, params, virtual_subset, m)
                 if detail is not None:
@@ -318,7 +297,7 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
     else:
         for originals in original_subsets(t):
             checked += 1
-            virtual_subset = exposed(originals)
+            virtual_subset = a.exposed(originals)
             for m in range(1, config.m_count + 1):
                 detail = _privacy_violation(config, params, virtual_subset, m)
                 if detail is not None:

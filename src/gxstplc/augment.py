@@ -51,6 +51,12 @@ class AugmentedSystem:
             raise ValueError(f"no such virtual server: {vs}")
         return sum(self.tau[: n - 1]) + i
 
+    def exposed(self, originals: tuple[int, ...]) -> tuple[int, ...]:
+        """Flat ids of every virtual copy of the given original servers."""
+        return tuple(
+            self.flat_id((n, i)) for n in originals for i in range(1, self.tau[n - 1] + 1)
+        )
+
     def delta_of(self, m: int, n: int) -> int:
         for server, copies in self.delta[m - 1]:
             if server == n:

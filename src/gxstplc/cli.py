@@ -99,9 +99,6 @@ def _cmd_plan(args) -> tuple[dict, bool]:
     cap = capacity.asymptotic_capacity(p, args.x, args.t)
     aug = augment.generate_augmented_system(p, args.x, args.t, cap)
     plans = augment.merged_query_plan(aug)
-    virtual_config = AsymmConfig(
-        aug.virtual_pattern(p.counts), aug.x_bar, aug.t_bar, aug.l_value
-    )
     payload = {
         "capacity": str(cap.capacity),
         "L": aug.l_value,
@@ -126,7 +123,7 @@ def _cmd_plan(args) -> tuple[dict, bool]:
             }
             for plan in plans
         ],
-        "stored_symbols": list(scheme.stored_symbols(virtual_config)),
+        "stored_symbols": list(scheme.stored_symbols(scheme.virtual_config(aug, p.counts))),
     }
     return payload, True
 
@@ -198,10 +195,8 @@ def _cmd_audit(args) -> tuple[dict, bool]:
     p = load_pattern(args.pattern)
     cap = capacity.asymptotic_capacity(p, args.x, args.t)
     aug = augment.generate_augmented_system(p, args.x, args.t, cap)
-    virtual_config = AsymmConfig(
-        aug.virtual_pattern(), aug.x_bar, aug.t_bar, aug.l_value
-    )
-    params = scheme.setup(virtual_config)
+    config = scheme.virtual_config(aug)
+    params = scheme.setup(config)
     report = audit.merged_scheme_audit(aug, params, args.x, args.t)
     payload = {
         "capacity": str(cap.capacity),
@@ -210,19 +205,12 @@ def _cmd_audit(args) -> tuple[dict, bool]:
     }
     ok = report.passed
     if args.exhaustive:
-        def exposed(originals):
-            return tuple(
-                aug.flat_id((srv, i))
-                for srv in originals
-                for i in range(1, aug.tau[srv - 1] + 1)
-            )
-
         exhaustive_payloads = []
         for side, limit in (("storage", args.x), ("query", args.t)):
             for size in range(1, limit + 1):
                 for originals in itertools.combinations(range(1, p.n_servers + 1), size):
                     rep = audit.exhaustive_independence_audit(
-                        virtual_config, params, exposed(originals), side=side
+                        config, params, aug.exposed(originals), side=side
                     )
                     ok = ok and rep.passed
                     exhaustive_payloads.append(

@@ -47,3 +47,15 @@ class DimensionMismatch(GxstplcError):
 
 class UnknownDemo(GxstplcError):
     """No built-in demo is registered under the requested name."""
+
+
+class FieldMismatch(GxstplcError):
+    """Elements of different prime fields were combined."""
+
+
+class MalformedPattern(GxstplcError, ValueError):
+    """A pattern document has the wrong structure or a non-integer entry."""
+
+
+class InvariantViolation(GxstplcError):
+    """An identity the construction guarantees failed to hold."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from .errors import DuplicateNodes, SingularMatrix
+from .errors import DimensionMismatch, DuplicateNodes, FieldMismatch, SingularMatrix
 
 MAX_MODULUS = 2**31  # keeps products of two residues inside 64-bit range
 
@@ -98,7 +98,8 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            assert other.field == self.field, "elements from different fields"
+            if other.field != self.field:
+                raise FieldMismatch(f"cannot combine elements of {self.field} and {other.field}")
             return other
         if isinstance(other, int):
             return FieldElement(other, self.field)
@@ -192,7 +193,8 @@ class FieldMatrix:
         n_cols = len(rows[0]) if n_rows else 0
         flat = []
         for row in rows:
-            assert len(row) == n_cols, "ragged rows"
+            if len(row) != n_cols:
+                raise DimensionMismatch(f"ragged rows: {len(row)} entries, expected {n_cols}")
             for e in row:
                 flat.append(e if isinstance(e, FieldElement) else field(e))
         return cls(field, n_rows, n_cols, flat)
@@ -279,17 +281,30 @@ def _eliminate(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int
     return rows, pivots
 
 
+def rank_mod(rows: list[list[int]], q: int) -> int:
+    """Rank over F_q of a matrix given as integer rows (the rows are consumed)."""
+    return len(_eliminate(rows, q)[1]) if rows else 0
+
+
+def solve_mod(rows: list[list[int]], q: int) -> list[int]:
+    """Solve a square system over F_q given as augmented integer rows
+    [A | b] (the rows are consumed); raises SingularMatrix unless A is
+    invertible."""
+    n = len(rows)
+    rows, pivots = _eliminate(rows, q)
+    if pivots != list(range(n)):
+        raise SingularMatrix("coefficient matrix is singular")
+    return [row[n] for row in rows]
+
+
 def mat_rank(m: FieldMatrix) -> int:
-    rows = [[e.value for e in m.row(i)] for i in range(m.n_rows)]
-    if not rows:
-        return 0
-    _, pivots = _eliminate(rows, m.field.q)
-    return len(pivots)
+    return rank_mod([[e.value for e in m.row(i)] for i in range(m.n_rows)], m.field.q)
 
 
 def mat_solve(a: FieldMatrix, b: Sequence) -> list[FieldElement]:
     """Solve the square system a * x = b; raises SingularMatrix otherwise."""
-    assert a.n_rows == a.n_cols, "mat_solve needs a square matrix"
+    if a.n_rows != a.n_cols:
+        raise DimensionMismatch(f"mat_solve needs a square matrix, got {a.n_rows}x{a.n_cols}")
     field = a.field
     q = field.q
     n = a.n_rows
@@ -297,10 +312,7 @@ def mat_solve(a: FieldMatrix, b: Sequence) -> list[FieldElement]:
         raise SingularMatrix(f"rhs length {len(b)} does not match size {n}")
     rhs = [e.value if isinstance(e, FieldElement) else e % q for e in b]
     rows = [[a.entry(i, j).value for j in range(n)] + [rhs[i]] for i in range(n)]
-    rows, pivots = _eliminate(rows, q)
-    if pivots != list(range(n)):
-        raise SingularMatrix("coefficient matrix is singular")
-    return [FieldElement(rows[i][n], field) for i in range(n)]
+    return [FieldElement(v, field) for v in solve_mod(rows, q)]
 
 
 def mat_inverse(a: FieldMatrix) -> FieldMatrix:

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .errors import MalformedPattern
+
 
 @dataclass(frozen=True)
 class MessageSet:
@@ -106,17 +108,26 @@ def min_replication_slack(p: StoragePattern, x: int, t: int) -> int:
     return min(p.replication_factors) - x - t
 
 
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise MalformedPattern(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def pattern_from_dict(data: Mapping) -> StoragePattern:
+    """Parse a pattern document; anything but integers and lists is rejected."""
     try:
-        n = int(data["servers"])
-        sets = tuple(
-            MessageSet(tuple(int(s) for s in entry["servers"]),
-                       int(entry.get("count", 1)))
-            for entry in data["message_sets"]
-        )
+        n = _integer(data["servers"], "servers")
+        sets = []
+        for entry in data["message_sets"]:
+            servers = entry["servers"]
+            if not isinstance(servers, (list, tuple)):
+                raise MalformedPattern(f"a set's servers must be a list, got {servers!r}")
+            sets.append(MessageSet(tuple(_integer(s, "server id") for s in servers),
+                                   _integer(entry.get("count", 1), "count")))
     except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed pattern document: {exc}") from exc
-    return StoragePattern(n, sets)
+        raise MalformedPattern(f"malformed pattern document: {exc}") from exc
+    return StoragePattern(n, tuple(sets))
 
 
 def pattern_to_dict(p: StoragePattern) -> dict:

@@ -19,13 +19,21 @@ Multiplying a share by a query makes the desired term a scaled Cauchy
 entry while every noise product lands in a low-degree polynomial of
 alpha_n; the answer weights v_{n,m} (dual generalized Reed-Solomon
 coefficients) annihilate those polynomials in the decoding sums.
+
+Field data is held as read-only int64 residue arrays, one per message
+set m: message and coefficient banks are [K_m, L], noise is
+[depth_m, L, K_m], and share and query blocks are [|R_m|, L, K_m] with
+rows in the order of servers_of(m).  Every product is reduced mod q
+before the next one, so nothing overflows for any q below
+``ff.MAX_MODULUS``.  FieldElements appear only in the transcript, in
+``expected_combination`` and in the lemma checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,8 +44,17 @@ from .errors import (
     DimensionMismatch,
     DuplicateNodes,
     FieldTooSmall,
+    InvariantViolation,
 )
-from .ff import FieldElement, FieldMatrix, PrimeField, mat_solve, smallest_prime_at_least, vandermonde
+from .ff import (
+    FieldElement,
+    FieldMatrix,
+    PrimeField,
+    mat_solve,
+    smallest_prime_at_least,
+    solve_mod,
+    vandermonde,
+)
 from .pattern import StoragePattern
 
 
@@ -107,17 +124,80 @@ class AsymmConfig:
         )
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+def virtual_config(aug: AugmentedSystem,
+                   counts: tuple[int, ...] | None = None) -> AsymmConfig:
+    """The augmented system as an uneven-threshold configuration over its
+    virtual servers; counts default to one message per set."""
+    return AsymmConfig(aug.virtual_pattern(counts), aug.x_bar, aug.t_bar, aug.l_value)
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _equal(a, b) -> bool:
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+class _Residues:
+    """Field-by-field equality for frozen records holding residue arrays."""
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+
+def _rows(group: tuple[int, ...]) -> np.ndarray:
+    """0-based positions of a replication group's servers."""
+    return np.asarray(group) - 1
+
+
+def _node_products(points: np.ndarray, nodes: np.ndarray, q: int, *,
+                   skip_own: bool = False) -> np.ndarray:
+    """prod over nodes of (p - node) mod q, for each point p.
+
+    With skip_own, points and nodes are the same list and point i leaves
+    out node i: prod_{k != i} (a_i - a_k).
+    """
+    diff = (points[:, None] - nodes[None, :]) % q
+    if skip_own:
+        np.fill_diagonal(diff, 1)
+    out = np.ones(len(points), dtype=np.int64)
+    for column in diff.T:
+        out = out * column % q
+    return out
+
+
+def _inverse(a: np.ndarray, q: int) -> np.ndarray:
+    """Elementwise a^(q-2) mod q (Fermat), by square and multiply."""
+    out = np.ones_like(a)
+    base = a % q
+    e = q - 2
+    while e:
+        if e & 1:
+            out = out * base % q
+        base = base * base % q
+        e >>= 1
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class SchemeParams(_Residues):
     """Field constants fixed before any message or query exists."""
 
     field: PrimeField
     l_value: int
-    alpha: tuple[FieldElement, ...]            # one point per server
-    f: tuple[FieldElement, ...]                # one point per decoded slot
-    u: tuple[tuple[FieldElement, ...], ...]    # u[m-1][l-1]
-    v: dict[tuple[int, int], FieldElement]     # v[(m, n)] for n in R_m
-    groups: tuple[tuple[int, ...], ...]        # replication groups, for checks
+    alpha: np.ndarray                      # [N]: one point per server
+    f: np.ndarray                          # [L]: one point per decoded slot
+    u: np.ndarray                          # [M, L]: u[m-1, l-1]
+    v: tuple[np.ndarray, ...]              # v[m-1][r]: weight of group_of(m)[r]
+    groups: tuple[tuple[int, ...], ...]    # replication groups: row order of per-set arrays
 
     def group_of(self, m: int) -> tuple[int, ...]:
         return self.groups[m - 1]
@@ -141,37 +221,18 @@ def setup(config: AsymmConfig, field_override: int | None = None) -> SchemeParam
             )
         q = field_override
     field = PrimeField(q)
-    alpha = tuple(field(i) for i in range(1, n + 1))
-    f = tuple(field(n + i) for i in range(1, l_value + 1))
-
-    u_rows = []
-    v: dict[tuple[int, int], FieldElement] = {}
-    groups = []
-    for m in range(1, config.m_count + 1):
-        group = config.pattern.servers_of(m)
-        groups.append(group)
-        row = []
-        for fl in f:
-            prod = field.one
-            for n_id in group:
-                prod = prod * (fl - alpha[n_id - 1])
-            assert prod.value != 0
-            row.append(prod)
-        u_rows.append(tuple(row))
-        for n_id in group:
-            prod = field.one
-            for other in group:
-                if other != n_id:
-                    prod = prod * (alpha[n_id - 1] - alpha[other - 1])
-            v[(m, n_id)] = prod.inverse()
+    alpha = _frozen(np.arange(1, n + 1, dtype=np.int64))
+    f = _frozen(np.arange(n + 1, needed + 1, dtype=np.int64) % q)
+    groups = tuple(config.pattern.servers_of(m) for m in range(1, config.m_count + 1))
+    members = [alpha[_rows(group)] for group in groups]
     return SchemeParams(
         field=field,
         l_value=l_value,
         alpha=alpha,
         f=f,
-        u=tuple(u_rows),
-        v=v,
-        groups=tuple(groups),
+        u=_frozen(np.array([_node_products(f, a, q) for a in members])),
+        v=tuple(_frozen(_inverse(_node_products(a, a, q, skip_own=True), q)) for a in members),
+        groups=groups,
     )
 
 
@@ -183,274 +244,194 @@ class FieldSampler:
             seed = np.random.SeedSequence(seed)
         self.field = field
         self._gen = np.random.Generator(np.random.Philox(seed))
-        self._limit = (2**64 // field.q) * field.q
+        # Largest accepted raw value; the bound itself may be 2**64 (q = 2).
+        self._max = np.uint64((2**64 // field.q) * field.q - 1)
 
-    def draw(self) -> FieldElement:
-        while True:
-            raw = int(self._gen.integers(0, 2**64 - 1, dtype=np.uint64, endpoint=True))
-            if raw < self._limit:
-                return self.field(raw % self.field.q)
+    def draw(self, shape: tuple[int, ...]) -> np.ndarray:
+        """A read-only block of residues, filled in C order.
 
-    def vector(self, count: int) -> tuple[FieldElement, ...]:
-        return tuple(self.draw() for _ in range(count))
+        Each round asks the generator for exactly the residues still
+        missing, so the block holds the same values, and leaves the
+        stream in the same place, as drawing them one at a time.
+        """
+        kept = [np.empty(0, dtype=np.uint64)]
+        missing = int(np.prod(shape))
+        while missing:
+            raw = self._gen.integers(0, 2**64 - 1, size=missing, dtype=np.uint64,
+                                     endpoint=True)
+            kept.append(raw[raw <= self._max])
+            missing -= len(kept[-1])
+        residues = np.concatenate(kept) % np.uint64(self.field.q)
+        return _frozen(residues.astype(np.int64).reshape(shape))
 
 
-BankValues = tuple[tuple[tuple[FieldElement, ...], ...], ...]  # [m][k][l]
+def _shapes(config: AsymmConfig, l_value: int,
+            lead: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
+    """Per-set array shapes: [K_m, L] for banks, [lead_m, L, K_m] otherwise."""
+    if lead is None:
+        return tuple((k, l_value) for k in config.counts)
+    return tuple((d, l_value, k) for d, k in zip(lead, config.counts))
 
 
-def _build_bank(config: AsymmConfig, l_value: int, entry) -> BankValues:
-    out = []
-    for m in range(1, config.m_count + 1):
-        k_m = config.pattern.count_of(m)
-        out.append(
-            tuple(
-                tuple(entry(m, k, l) for l in range(1, l_value + 1))
-                for k in range(1, k_m + 1)
-            )
+def _checked(blocks: tuple[np.ndarray, ...], shapes: tuple[tuple[int, ...], ...],
+             what: str) -> tuple[np.ndarray, ...]:
+    if len(blocks) != len(shapes) or any(b.shape != s for b, s in zip(blocks, shapes)):
+        raise DimensionMismatch(
+            f"{what} shapes {[b.shape for b in blocks]} do not match {list(shapes)}"
         )
+    return blocks
+
+
+def _to_residues(blocks, q: int) -> tuple[np.ndarray, ...]:
+    """Caller data as reduced arrays: ragged input is a shape error, and
+    integers outside int64 are reduced exactly."""
+    out = []
+    for b in blocks:
+        try:
+            a = np.array(b, dtype=np.int64) % q
+        except OverflowError:
+            a = (np.array(b, dtype=object) % q).astype(np.int64)
+        except ValueError as exc:
+            raise DimensionMismatch(f"ragged field data: {exc}") from None
+        out.append(_frozen(a))
     return tuple(out)
 
 
-def _check_bank_shape(config: AsymmConfig, l_value: int, values: BankValues) -> None:
-    if len(values) != config.m_count:
-        raise DimensionMismatch("bank has wrong number of message sets")
-    for m in range(1, config.m_count + 1):
-        block = values[m - 1]
-        if len(block) != config.pattern.count_of(m):
-            raise DimensionMismatch(f"set {m}: wrong message count")
-        for per_message in block:
-            if len(per_message) != l_value:
-                raise DimensionMismatch(f"set {m}: wrong symbol length")
+@dataclass(frozen=True, eq=False)
+class MessageBank(_Residues):
+    """Stored data: values[m-1][k-1, l-1] is symbol l of message k of set m."""
 
-
-@dataclass(frozen=True)
-class MessageBank:
-    """Stored data: values[m-1][k-1][l-1] is symbol l of message k of set m."""
-
-    values: BankValues
-
-    def column(self, m: int, l: int) -> tuple[FieldElement, ...]:
-        return tuple(per_message[l - 1] for per_message in self.values[m - 1])
+    field: PrimeField
+    values: tuple[np.ndarray, ...]
 
     @classmethod
     def random(cls, config: AsymmConfig, params: SchemeParams,
                seed) -> "MessageBank":
         sampler = seed if isinstance(seed, FieldSampler) else FieldSampler(params.field, seed)
-        return cls(_build_bank(config, params.l_value, lambda m, k, l: sampler.draw()))
-
-    @classmethod
-    def zeros(cls, config: AsymmConfig, params: SchemeParams) -> "MessageBank":
-        zero = params.field.zero
-        return cls(_build_bank(config, params.l_value, lambda m, k, l: zero))
+        shapes = _shapes(config, params.l_value)
+        return cls(params.field, tuple(sampler.draw(s) for s in shapes))
 
     @classmethod
     def from_ints(cls, config: AsymmConfig, params: SchemeParams,
                   nested: Sequence[Sequence[Sequence[int]]]) -> "MessageBank":
-        field = params.field
-        values = tuple(
-            tuple(tuple(field(e) for e in per_message) for per_message in block)
-            for block in nested
-        )
-        _check_bank_shape(config, params.l_value, values)
-        return cls(values)
+        values = _to_residues(nested, params.field.q)
+        return cls(params.field, _checked(values, _shapes(config, params.l_value), "bank"))
 
 
 class CoefficientBank(MessageBank):
     """The user's private combining coefficients; same shape as MessageBank."""
 
 
-NoiseBank = dict[tuple[int, int, int], tuple[FieldElement, ...]]
+@dataclass(frozen=True, eq=False)
+class ShareBank(_Residues):
+    """Coded storage: blocks[m-1][r] is what server group_of(m)[r] holds of
+    set m, [L, K_m]; noise is retained only by the encoder."""
+
+    blocks: tuple[np.ndarray, ...]
+    noise: tuple[np.ndarray, ...]
 
 
-def _noise_bank(config: AsymmConfig, l_value: int, depths: tuple[int, ...],
-                entry) -> NoiseBank:
-    noise: NoiseBank = {}
-    for m in range(1, config.m_count + 1):
-        k_m = config.pattern.count_of(m)
-        for depth in range(1, depths[m - 1] + 1):
-            for l in range(1, l_value + 1):
-                noise[(m, depth, l)] = tuple(
-                    entry(m, depth, l, k) for k in range(1, k_m + 1)
-                )
-    return noise
+class QueryBank(ShareBank):
+    """Per-server query blocks in the same layout; noise stays with the user."""
 
 
-def zero_storage_noise(config: AsymmConfig, params: SchemeParams) -> NoiseBank:
-    zero = params.field.zero
-    return _noise_bank(config, params.l_value, config.x_vec, lambda m, d, l, k: zero)
+def _noise(config: AsymmConfig, params: SchemeParams, depths: tuple[int, ...],
+           rng_seed, noise) -> tuple[np.ndarray, ...]:
+    shapes = _shapes(config, params.l_value, depths)
+    if noise is None:
+        sampler = FieldSampler(params.field, rng_seed)
+        return tuple(sampler.draw(s) for s in shapes)
+    return _checked(_to_residues(noise, params.field.q), shapes, "noise")
 
 
-def zero_query_noise(config: AsymmConfig, params: SchemeParams) -> NoiseBank:
-    zero = params.field.zero
-    return _noise_bank(config, params.l_value, config.t_vec, lambda m, d, l, k: zero)
+def _add_noise(block: np.ndarray, coeff: np.ndarray, points: np.ndarray,
+               noise: np.ndarray, q: int) -> np.ndarray:
+    """block + sum_d coeff * point^d * noise[d] mod q, one row per server.
 
-
-def _check_noise_shape(config: AsymmConfig, l_value: int,
-                       depths: tuple[int, ...], noise: NoiseBank) -> None:
-    expected_keys = {
-        (m, d, l)
-        for m in range(1, config.m_count + 1)
-        for d in range(1, depths[m - 1] + 1)
-        for l in range(1, l_value + 1)
-    }
-    if set(noise.keys()) != expected_keys:
-        raise DimensionMismatch("noise bank keys do not match the configuration")
-    for (m, _, _), vec in noise.items():
-        if len(vec) != config.pattern.count_of(m):
-            raise DimensionMismatch(f"noise vector for set {m} has wrong length")
-
-
-@dataclass(frozen=True)
-class ShareBank:
-    """Per-server coded storage; noise is retained only by the encoder."""
-
-    blocks: dict[tuple[int, int], tuple[tuple[FieldElement, ...], ...]]
-    noise: NoiseBank
-
-    def at_server(self, n: int) -> dict[int, tuple[tuple[FieldElement, ...], ...]]:
-        return {m: b for (srv, m), b in self.blocks.items() if srv == n}
-
-    def flat(self, n: int, m: int) -> tuple[FieldElement, ...]:
-        """The stored vector for (n, m), blocks stacked slot by slot."""
-        return tuple(e for block in self.blocks[(n, m)] for e in block)
-
-
-@dataclass(frozen=True)
-class QueryBank:
-    """Per-server query vectors; noise is retained only by the user."""
-
-    blocks: dict[tuple[int, int], tuple[tuple[FieldElement, ...], ...]]
-    noise: NoiseBank
-
-    def at_server(self, n: int) -> dict[int, tuple[tuple[FieldElement, ...], ...]]:
-        return {m: b for (srv, m), b in self.blocks.items() if srv == n}
+    block is [R, L, K], coeff [R, L], points [R] and noise [depth, L, K].
+    """
+    for z in noise:
+        block = (block + coeff[:, :, None] * z[None] % q) % q
+        coeff = coeff * points[:, None] % q
+    return _frozen(block)
 
 
 def encode_storage(config: AsymmConfig, params: SchemeParams,
                    messages: MessageBank, rng_seed=None, *,
-                   noise: NoiseBank | None = None) -> ShareBank:
+                   noise: Sequence[np.ndarray] | None = None) -> ShareBank:
     """Produce every server's coded share of every set it replicates."""
-    _check_bank_shape(config, params.l_value, messages.values)
-    if noise is None:
-        sampler = FieldSampler(params.field, rng_seed)
-        noise = _noise_bank(
-            config, params.l_value, config.x_vec, lambda m, d, l, k: sampler.draw()
-        )
-    else:
-        _check_noise_shape(config, params.l_value, config.x_vec, noise)
-
-    blocks: dict[tuple[int, int], tuple[tuple[FieldElement, ...], ...]] = {}
-    for m in range(1, config.m_count + 1):
-        x_m = config.x_vec[m - 1]
-        for n in config.pattern.servers_of(m):
-            a_n = params.alpha[n - 1]
-            per_l = []
-            for l in range(1, params.l_value + 1):
-                scale = (a_n - params.f[l - 1]).inverse()
-                column = messages.column(m, l)
-                block = [scale * w for w in column]
-                for x in range(1, x_m + 1):
-                    coeff = a_n ** (x - 1)
-                    z = noise[(m, x, l)]
-                    block = [b + coeff * zk for b, zk in zip(block, z)]
-                per_l.append(tuple(block))
-            blocks[(n, m)] = tuple(per_l)
-    return ShareBank(blocks=blocks, noise=noise)
+    q = params.field.q
+    _checked(messages.values, _shapes(config, params.l_value), "message bank")
+    noise = _noise(config, params, config.x_vec, rng_seed, noise)
+    blocks = []
+    for group, w, z in zip(params.groups, messages.values, noise):
+        a = params.alpha[_rows(group)]
+        scale = _inverse(a[:, None] - params.f[None, :], q)
+        blocks.append(_add_noise(scale[:, :, None] * w.T[None] % q,
+                                 np.ones_like(scale), a, z, q))
+    return ShareBank(blocks=tuple(blocks), noise=noise)
 
 
 def generate_queries(config: AsymmConfig, params: SchemeParams,
                      coeffs: CoefficientBank, rng_seed=None, *,
-                     noise: NoiseBank | None = None) -> QueryBank:
+                     noise: Sequence[np.ndarray] | None = None) -> QueryBank:
     """Produce every server's query, masking the coefficients t-deep."""
-    _check_bank_shape(config, params.l_value, coeffs.values)
-    if noise is None:
-        sampler = FieldSampler(params.field, rng_seed)
-        noise = _noise_bank(
-            config, params.l_value, config.t_vec, lambda m, d, l, k: sampler.draw()
-        )
-    else:
-        _check_noise_shape(config, params.l_value, config.t_vec, noise)
-
-    blocks: dict[tuple[int, int], tuple[tuple[FieldElement, ...], ...]] = {}
-    for m in range(1, config.m_count + 1):
-        t_m = config.t_vec[m - 1]
-        for n in config.pattern.servers_of(m):
-            a_n = params.alpha[n - 1]
-            per_l = []
-            for l in range(1, params.l_value + 1):
-                u_ml = params.u[m - 1][l - 1]
-                column = coeffs.column(m, l)
-                block = [u_ml * lam for lam in column]
-                gap = a_n - params.f[l - 1]
-                for t in range(1, t_m + 1):
-                    coeff = gap * a_n ** (t - 1)
-                    z = noise[(m, t, l)]
-                    block = [b + coeff * zk for b, zk in zip(block, z)]
-                per_l.append(tuple(block))
-            blocks[(n, m)] = tuple(per_l)
-    return QueryBank(blocks=blocks, noise=noise)
-
-
-def server_answer(n: int,
-                  shares_at_n: Mapping[int, tuple[tuple[FieldElement, ...], ...]],
-                  queries_at_n: Mapping[int, tuple[tuple[FieldElement, ...], ...]],
-                  params: SchemeParams) -> FieldElement:
-    """One answer symbol, computed only from server n's own data."""
-    if set(shares_at_n) != set(queries_at_n):
-        raise DimensionMismatch("share and query sets disagree at this server")
-    total = params.field.zero
-    for m in sorted(shares_at_n):
-        dot = params.field.zero
-        for share_block, query_block in zip(shares_at_n[m], queries_at_n[m]):
-            for w, qq in zip(share_block, query_block):
-                dot = dot + w * qq
-        total = total + params.v[(m, n)] * dot
-    return total
+    q = params.field.q
+    _checked(coeffs.values, _shapes(config, params.l_value), "coefficient bank")
+    noise = _noise(config, params, config.t_vec, rng_seed, noise)
+    blocks = []
+    for group, u, lam, z in zip(params.groups, params.u, coeffs.values, noise):
+        a = params.alpha[_rows(group)]
+        plain = (u[:, None] * lam.T % q)[None].repeat(len(a), axis=0)
+        gap = (a[:, None] - params.f[None, :]) % q
+        blocks.append(_add_noise(plain, gap, a, z, q))
+    return QueryBank(blocks=tuple(blocks), noise=noise)
 
 
 def collect_answers(config: AsymmConfig, params: SchemeParams,
                     shares: ShareBank, queries: QueryBank) -> tuple[FieldElement, ...]:
-    return tuple(
-        server_answer(n, shares.at_server(n), queries.at_server(n), params)
-        for n in range(1, config.n_servers + 1)
-    )
+    """One symbol per server n: sum over the sets m it hosts of
+    v_{n,m} <share, query>, computed only from server n's own blocks."""
+    q = params.field.q
+    shapes = _shapes(config, params.l_value, config.pattern.replication_factors)
+    _checked(shares.blocks, shapes, "share blocks")
+    _checked(queries.blocks, shapes, "query blocks")
+    total = np.zeros(config.n_servers, dtype=np.int64)
+    for group, v, share, query in zip(params.groups, params.v, shares.blocks, queries.blocks):
+        dots = (share * query % q).sum(axis=(1, 2)) % q
+        total[_rows(group)] += v * dots % q
+    return tuple(params.field(int(a)) for a in total % q)
 
 
 def reconstruct(answers: Sequence[FieldElement],
                 params: SchemeParams) -> tuple[FieldElement, ...]:
     """Decode the L combination symbols from one answer per server.
 
-    The weighted power sums V_i = sum_n alpha_n^{i-1} A_n collapse to
-    -sum_l f_l^{i-1} d_l once the interference vanishes, so the decoded
-    vector d solves a small transposed-Vandermonde system at the f
-    points.
+    The weighted power sums V_i = sum_n alpha_n^i A_n (i < L) collapse
+    to -sum_l f_l^i d_l once the interference vanishes, so d solves the
+    transposed-Vandermonde system at the f points.
     """
     if len(answers) != len(params.alpha):
         raise DimensionMismatch("need exactly one answer per server")
-    l_value = params.l_value
+    q = params.field.q
+    term = np.array([a.value for a in answers], dtype=np.int64)
     sums = []
-    for i in range(1, l_value + 1):
-        acc = params.field.zero
-        for a_n, answer in zip(params.alpha, answers):
-            acc = acc + a_n ** (i - 1) * answer
-        sums.append(acc)
-    vf = vandermonde(params.f, l_value)
-    return tuple(mat_solve(vf, [-s for s in sums]))
+    for _ in range(params.l_value):
+        sums.append(int(term.sum()) % q)
+        term = term * params.alpha % q
+    points = params.f.tolist()
+    rows = [[pow(f_l, i, q) for f_l in points] + [-s % q] for i, s in enumerate(sums)]
+    return tuple(params.field(d) for d in solve_mod(rows, q))
 
 
 def expected_combination(config: AsymmConfig, messages: MessageBank,
                          coeffs: CoefficientBank) -> tuple[FieldElement, ...]:
     """The target linear combination, computed directly from plaintext."""
-    field = messages.values[0][0][0].field
-    l_value = len(messages.values[0][0])
-    out = []
-    for l in range(1, l_value + 1):
-        acc = field.zero
-        for m in range(1, config.m_count + 1):
-            for w, lam in zip(messages.column(m, l), coeffs.column(m, l)):
-                acc = acc + lam * w
-        out.append(acc)
-    return tuple(out)
+    field = messages.field
+    acc = np.zeros(messages.values[0].shape[1], dtype=np.int64)
+    for w, lam in zip(messages.values, coeffs.values):
+        acc = (acc + (lam * w % field.q).sum(axis=0)) % field.q
+    return tuple(field(int(e)) for e in acc)
 
 
 def dual_grs_weights(nodes: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
@@ -462,15 +443,12 @@ def dual_grs_weights(nodes: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
     vals = [e.value for e in nodes]
     if len(set(vals)) != len(vals):
         raise DuplicateNodes(f"nodes collide: {vals}")
-    assert len(nodes) >= 2, "need at least two nodes"
-    out = []
-    for i, a in enumerate(nodes):
-        prod = a.field.one
-        for j, b in enumerate(nodes):
-            if j != i:
-                prod = prod * (a - b)
-        out.append(prod.inverse())
-    return tuple(out)
+    if len(vals) < 2:
+        raise DimensionMismatch("need at least two nodes")
+    field = nodes[0].field
+    points = np.array(vals, dtype=np.int64)
+    weights = _inverse(_node_products(points, points, field.q, skip_own=True), field.q)
+    return tuple(field(int(w)) for w in weights)
 
 
 def cauchy_vandermonde_check(alpha_nodes: Sequence[FieldElement],
@@ -487,36 +465,26 @@ def cauchy_vandermonde_check(alpha_nodes: Sequence[FieldElement],
     the diagonal of u_j = prod_i (f_j - a_i).
     """
     n, l = len(alpha_nodes), len(f_nodes)
-    assert n >= l >= 1, "need at least as many alpha points as f points"
+    if not n >= l >= 1:
+        raise DimensionMismatch(f"need n >= l >= 1 points, got n={n}, l={l}")
     vals = [e.value for e in alpha_nodes] + [e.value for e in f_nodes]
     if len(set(vals)) != len(vals):
         raise DuplicateNodes(f"evaluation points collide: {vals}")
     field = alpha_nodes[0].field
+    points = np.array(vals[:n], dtype=np.int64)
+    d_v = _node_products(points, points, field.q, skip_own=True)
+    d_u = _node_products(np.array(vals[n:], dtype=np.int64), points, field.q)
 
     cauchy = FieldMatrix.from_rows(
         field,
         [[(a - f).inverse() for f in f_nodes] for a in alpha_nodes],
     )
-    d_v = []
-    for i, a in enumerate(alpha_nodes):
-        prod = field.one
-        for k, b in enumerate(alpha_nodes):
-            if k != i:
-                prod = prod * (a - b)
-        d_v.append(prod)
-    d_u = []
-    for f in f_nodes:
-        prod = field.one
-        for a in alpha_nodes:
-            prod = prod * (f - a)
-        d_u.append(prod)
-
     v_alpha = vandermonde(alpha_nodes, n)
     v_f = vandermonde(f_nodes, n)
     solved_cols = [mat_solve(v_alpha, v_f.column(j)) for j in range(l)]
     for i in range(n):
         for j in range(l):
-            rhs = -(d_v[i] * solved_cols[j][i] / d_u[j])
+            rhs = -(field(int(d_v[i])) * solved_cols[j][i] / field(int(d_u[j])))
             if cauchy.entry(i, j) != rhs:
                 return False
     return True
@@ -524,13 +492,15 @@ def cauchy_vandermonde_check(alpha_nodes: Sequence[FieldElement],
 
 def alignment_identity_check(params: SchemeParams, m: int, i: int, l: int) -> bool:
     """Check sum over R_m of v u alpha^{i-1}/(alpha - f_l) == -f_l^{i-1}."""
-    f_l = params.f[l - 1]
-    u_ml = params.u[m - 1][l - 1]
-    acc = params.field.zero
-    for n in params.group_of(m):
-        a_n = params.alpha[n - 1]
-        acc = acc + params.v[(m, n)] * u_ml * a_n ** (i - 1) / (a_n - f_l)
-    return acc == -(f_l ** (i - 1))
+    q = params.field.q
+    f_l = int(params.f[l - 1])
+    u_ml = int(params.u[m - 1, l - 1])
+    acc = sum(
+        v * u_ml * pow(a, i - 1, q) * pow(a - f_l, q - 2, q)
+        for a, v in zip(params.alpha[_rows(params.group_of(m))].tolist(),
+                        params.v[m - 1].tolist())
+    )
+    return acc % q == -pow(f_l, i - 1, q) % q
 
 
 @dataclass(frozen=True)
@@ -629,15 +599,10 @@ def simulate_merged(p: StoragePattern, x: int, t: int, seed: int,
             f"capacity is zero for x={x}, t={t}: no scheme exists"
         )
     aug = generate_augmented_system(p, x, t, cap)
-    virtual_config = AsymmConfig(
-        aug.virtual_pattern(p.counts),
-        x_vec=aug.x_bar,
-        t_vec=aug.t_bar,
-        l_value=aug.l_value,
-    )
-    run = simulate(virtual_config, seed, field_override)
+    run = simulate(virtual_config(aug, p.counts), seed, field_override)
     rate = Fraction(aug.l_value, aug.n_virtual)
-    assert rate == cap.capacity
+    if rate != cap.capacity:
+        raise InvariantViolation(f"merged rate {rate} != capacity {cap.capacity}")
     return MergedSimulation(
         capacity=cap,
         augmented=aug,

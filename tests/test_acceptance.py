@@ -6,6 +6,7 @@ import random
 import time
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from conftest import random_config, random_pattern
@@ -44,16 +45,14 @@ from gxstplc.scheme import (
     setup,
     simulate,
     simulate_merged,
+    virtual_config,
 )
 
 
 def merged_config(pattern, x, t):
     cap = asymptotic_capacity(pattern, x, t)
     aug = generate_augmented_system(pattern, x, t, cap)
-    config = AsymmConfig(
-        aug.virtual_pattern(pattern.counts), aug.x_bar, aug.t_bar, aug.l_value
-    )
-    return cap, aug, config
+    return cap, aug, virtual_config(aug, pattern.counts)
 
 
 def test_criterion_1_six_server_capacity(tmp_path, capsys):
@@ -142,16 +141,15 @@ def test_criterion_4_decode_exactness(capsys):
     config = AsymmConfig(pattern, (1,), (1,), l_value=1)
     params = setup(config)
     assert params.field.q == 5
-    field = params.field
     combos = 0
     for w, lam, z, z2 in itertools.product(range(5), repeat=4):
         messages = MessageBank.from_ints(config, params, [[[w]]])
         coeffs = CoefficientBank.from_ints(config, params, [[[lam]]])
         shares = encode_storage(
-            config, params, messages, noise={(1, 1, 1): (field(z),)}
+            config, params, messages, noise=(np.array([[[z]]]),)
         )
         queries = generate_queries(
-            config, params, coeffs, noise={(1, 1, 1): (field(z2),)}
+            config, params, coeffs, noise=(np.array([[[z2]]]),)
         )
         decoded = reconstruct(collect_answers(config, params, shares, queries), params)
         assert decoded == expected_combination(config, messages, coeffs)

@@ -1,9 +1,11 @@
 """Rank certificates against the exhaustive ground-truth audit."""
 
 import itertools
+import random
 
 import pytest
 
+from conftest import random_pattern
 from gxstplc.audit import (
     asymm_scheme_audit,
     exhaustive_independence_audit,
@@ -16,7 +18,7 @@ from gxstplc.capacity import asymptotic_capacity
 from gxstplc.demos import GRAPH_SIX, UNEVEN_NINE, UNEVEN_SEVEN
 from gxstplc.errors import DimensionMismatch, ScaleExceeded
 from gxstplc.pattern import MessageSet, StoragePattern
-from gxstplc.scheme import AsymmConfig, setup
+from gxstplc.scheme import AsymmConfig, setup, virtual_config
 
 PAIR = StoragePattern(2, (MessageSet((1, 2)),))
 TRIPLE = StoragePattern(3, (MessageSet((1, 2, 3)),))
@@ -25,10 +27,7 @@ TRIPLE = StoragePattern(3, (MessageSet((1, 2, 3)),))
 def merged_setup(pattern, x, t):
     cap = asymptotic_capacity(pattern, x, t)
     aug = generate_augmented_system(pattern, x, t, cap)
-    config = AsymmConfig(
-        aug.virtual_pattern(), x_vec=aug.x_bar, t_vec=aug.t_bar,
-        l_value=aug.l_value,
-    )
+    config = virtual_config(aug)
     return aug, config, setup(config)
 
 
@@ -168,3 +167,20 @@ class TestMergedAudit:
         assert report.sampled
         assert report.passed
         assert report.checked_subsets == 1000
+
+    def test_message_counts_cannot_change_the_audit(self):
+        # the audit sets up the virtual system with one message per set,
+        # simulate_merged with the pattern's counts: both give one scheme
+        rng = random.Random(0xA0C7)
+        patterns = [GRAPH_SIX, UNEVEN_SEVEN]
+        patterns += [random_pattern(rng, n_max=7, m_max=3, count_max=4, x=1, t=1,
+                                    max_rows=30) for _ in range(8)]
+        for pattern in patterns:
+            cap = asymptotic_capacity(pattern, 1, 1)
+            aug = generate_augmented_system(pattern, 1, 1, cap)
+            ones = setup(virtual_config(aug))
+            counted = setup(virtual_config(aug, pattern.counts))
+            assert ones == counted
+            assert merged_scheme_audit(aug, ones, 1, 1) == merged_scheme_audit(
+                aug, counted, 1, 1
+            )

@@ -56,6 +56,12 @@ class TestSixServer:
         assert a.flat_id((3, 2)) == 4
         assert a.flat_id((6, 2)) == 9
 
+    def test_exposed_copies(self):
+        a = six_server_system()
+        assert a.exposed((3,)) == (3, 4)
+        assert a.exposed((1, 6)) == (1, 8, 9)
+        assert a.exposed(()) == ()
+
     def test_flat_groups(self):
         p = six_server_system().virtual_pattern()
         assert p.n_servers == 9

@@ -6,7 +6,8 @@ import pytest
 
 from gxstplc.cli import main
 from gxstplc.demos import GRAPH_FOURTEEN, GRAPH_SIX, UNEVEN_NINE, demo_names
-from gxstplc.pattern import MessageSet, StoragePattern, save_pattern
+from gxstplc.errors import MalformedPattern
+from gxstplc.pattern import MessageSet, StoragePattern, pattern_from_dict, save_pattern
 
 
 @pytest.fixture
@@ -278,6 +279,28 @@ class TestBadInput:
         )
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"servers": 4.9, "message_sets": [{"servers": [1, 2]}]},
+            {"servers": 4, "message_sets": [{"servers": [1, 2.7]}]},
+            {"servers": 4, "message_sets": [{"servers": "123"}]},
+            {"servers": 4, "message_sets": [{"servers": [1, 2], "count": True}]},
+        ],
+        ids=["float-server-count", "float-server-id", "string-server-list", "bool-count"],
+    )
+    def test_non_integer_pattern_rejected(self, capsys, tmp_path, doc):
+        bad = tmp_path / "coerced.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(
+            capsys, "capacity", "--pattern", str(bad), "--x", "1", "--t", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+        with pytest.raises(MalformedPattern):
+            pattern_from_dict(doc)
 
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit):

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gxstplc.errors import DuplicateNodes, SingularMatrix
+from gxstplc.errors import DimensionMismatch, DuplicateNodes, FieldMismatch, SingularMatrix
 from gxstplc.ff import (
     MAX_MODULUS,
     FieldElement,
@@ -17,6 +17,7 @@ from gxstplc.ff import (
     mat_rank,
     mat_solve,
     smallest_prime_at_least,
+    solve_mod,
     vandermonde,
 )
 
@@ -127,7 +128,7 @@ class TestFieldElement:
             PrimeField(5).zero.inverse()
 
     def test_cross_field_mix_rejected(self):
-        with pytest.raises(AssertionError):
+        with pytest.raises(FieldMismatch):
             PrimeField(5)(1) + PrimeField(7)(1)
 
 
@@ -177,6 +178,21 @@ class TestMatrix:
         f = PrimeField(7)
         with pytest.raises(SingularMatrix):
             mat_solve(FieldMatrix.identity(f, 2), [1, 2, 3])
+
+    def test_solve_needs_square_matrix(self):
+        f = PrimeField(7)
+        with pytest.raises(DimensionMismatch):
+            mat_solve(FieldMatrix.from_rows(f, [[1, 2, 3], [4, 5, 6]]), [1, 2])
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            FieldMatrix.from_rows(PrimeField(7), [[1, 2], [3]])
+
+    def test_solve_mod_on_integer_rows(self):
+        # 2x + y = 3, x + 3y = 4 over F_7: x = 1, y = 1
+        assert solve_mod([[2, 1, 3], [1, 3, 4]], 7) == [1, 1]
+        with pytest.raises(SingularMatrix):
+            solve_mod([[1, 2, 1], [2, 4, 3]], 7)
 
     def test_inverse(self):
         f = PrimeField(11)

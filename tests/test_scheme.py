@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_config
@@ -20,6 +21,7 @@ from gxstplc.scheme import (
     CoefficientBank,
     FieldSampler,
     MessageBank,
+    QueryBank,
     ShareBank,
     alignment_identity_check,
     cauchy_vandermonde_check,
@@ -30,17 +32,27 @@ from gxstplc.scheme import (
     generate_queries,
     reconstruct,
     run_protocol,
-    server_answer,
     setup,
     simulate,
     simulate_merged,
     stored_symbols,
-    zero_query_noise,
-    zero_storage_noise,
 )
 
 PAIR = StoragePattern(2, (MessageSet((1, 2)),))
 TRIPLE = StoragePattern(3, (MessageSet((1, 2, 3)),))
+
+
+def zero_bank(config, params):
+    return MessageBank.from_ints(
+        config, params, [[[0] * params.l_value] * k for k in config.counts]
+    )
+
+
+def zero_noise(config, params, depths):
+    return tuple(
+        np.zeros((d, params.l_value, k), dtype=np.int64)
+        for d, k in zip(depths, config.counts)
+    )
 
 
 class TestConfig:
@@ -84,15 +96,15 @@ class TestSetup:
         params = setup(AsymmConfig.uniform(TRIPLE, 0, 0))
         # three servers, three decoded slots: seven points needed
         assert params.field.q == 7
-        assert [a.value for a in params.alpha] == [1, 2, 3]
-        assert [f.value for f in params.f] == [4, 5, 6]
+        assert params.alpha.tolist() == [1, 2, 3]
+        assert params.f.tolist() == [4, 5, 6]
 
     def test_group_constants(self):
         params = setup(AsymmConfig.uniform(TRIPLE, 0, 0))
         field = params.field
         # u_{1,1} = (4-1)(4-2)(4-3) and v_{1,1} = ((1-2)(1-3))^{-1} in F_7
-        assert params.u[0][0] == field(6)
-        assert params.v[(1, 1)] == field(2).inverse()
+        assert params.u[0, 0] == 6
+        assert params.v[0][0] == field(2).inverse().value
         assert params.group_of(1) == (1, 2, 3)
 
     def test_override_accepted(self):
@@ -112,47 +124,39 @@ class TestEncode:
     def test_share_values_by_hand(self):
         config = AsymmConfig(PAIR, (1,), (0,))
         params = setup(config, field_override=5)
-        field = params.field
         messages = MessageBank.from_ints(config, params, [[[2]]])
-        noise = {(1, 1, 1): (field(1),)}
+        noise = (np.array([[[1]]]),)
         shares = encode_storage(config, params, messages, noise=noise)
         # server 1: 2/(1-3) + 1 = 0, server 2: 2/(2-3) + 1 = 4 in F_5
-        assert shares.blocks[(1, 1)] == ((field(0),),)
-        assert shares.blocks[(2, 1)] == ((field(4),),)
+        assert shares.blocks[0].tolist() == [[[0]], [[4]]]
 
     def test_zero_messages_zero_noise_give_zero_shares(self):
         config = AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2))
         params = setup(config)
         shares = encode_storage(
-            config, params, MessageBank.zeros(config, params),
-            noise=zero_storage_noise(config, params),
+            config, params, zero_bank(config, params),
+            noise=zero_noise(config, params, config.x_vec),
         )
-        zero = params.field.zero
-        for block in shares.blocks.values():
-            assert all(e == zero for per_l in block for e in per_l)
+        assert all(not block.any() for block in shares.blocks)
 
     def test_query_without_privacy_is_plain(self):
         config = AsymmConfig(PAIR, (0,), (0,), l_value=1)
         params = setup(config, field_override=5)
-        field = params.field
         coeffs = CoefficientBank.from_ints(config, params, [[[3]]])
         queries = generate_queries(
-            config, params, coeffs, noise=zero_query_noise(config, params)
+            config, params, coeffs, noise=zero_noise(config, params, config.t_vec)
         )
         # u = (3-1)(3-2) = 2, so both servers see 2 * 3 = 1 in F_5
-        assert queries.blocks[(1, 1)] == ((field(1),),)
-        assert queries.blocks[(2, 1)] == ((field(1),),)
+        assert queries.blocks[0].tolist() == [[[1]], [[1]]]
 
     def test_query_values_by_hand(self):
         config = AsymmConfig(PAIR, (0,), (1,))
         params = setup(config, field_override=5)
-        field = params.field
         coeffs = CoefficientBank.from_ints(config, params, [[[3]]])
-        noise = {(1, 1, 1): (field(1),)}
+        noise = (np.array([[[1]]]),)
         queries = generate_queries(config, params, coeffs, noise=noise)
         # u lam = 1; server n adds (alpha_n - 3) * 1
-        assert queries.blocks[(1, 1)] == ((field(4),),)
-        assert queries.blocks[(2, 1)] == ((field(0),),)
+        assert queries.blocks[0].tolist() == [[[4]], [[0]]]
 
     def test_bank_shape_validation(self):
         config = AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2))
@@ -164,16 +168,54 @@ class TestEncode:
         bad_l = [[[1] * 3] * 2, [[1] * 2] * 2]
         with pytest.raises(DimensionMismatch):
             MessageBank.from_ints(config, params, bad_l)
+        ragged = [[[1, 1], [1]], [[1] * 2] * 2]
+        with pytest.raises(DimensionMismatch):
+            MessageBank.from_ints(config, params, ragged)
+
+    def test_bank_reduces_integers_beyond_int64(self):
+        config = AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2))
+        params = setup(config)
+        q = params.field.q
+        big = [[[2**70, -(2**65)]] * 2, [[2**64 + 3, 5]] * 2]
+        small = [[[2**70 % q, -(2**65) % q]] * 2, [[(2**64 + 3) % q, 5]] * 2]
+        assert MessageBank.from_ints(config, params, big) == \
+            MessageBank.from_ints(config, params, small)
 
     def test_noise_shape_validation(self):
         config = AsymmConfig(PAIR, (1,), (0,))
         params = setup(config)
-        messages = MessageBank.zeros(config, params)
+        messages = zero_bank(config, params)
         with pytest.raises(DimensionMismatch):
-            encode_storage(config, params, messages, noise={})
-        bad_vec = {(1, 1, 1): (params.field.zero, params.field.zero)}
+            encode_storage(config, params, messages, noise=())
+        bad_vec = (np.zeros((1, 1, 2), dtype=np.int64),)
         with pytest.raises(DimensionMismatch):
             encode_storage(config, params, messages, noise=bad_vec)
+        ragged = ([[[0], [0, 0]]],)
+        with pytest.raises(DimensionMismatch):
+            encode_storage(config, params, messages, noise=ragged)
+
+    def test_arrays_are_read_only(self):
+        config = AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2))
+        params = setup(config)
+        messages = MessageBank.random(config, params, 3)
+        shares = encode_storage(config, params, messages, 4)
+        for array in (params.alpha, params.u, messages.values[0], shares.blocks[1],
+                      shares.noise[0]):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_bank_equality_is_by_value(self):
+        config = AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2))
+        params = setup(config)
+        nested = [[[1, 2], [3, 4]], [[5, 6], [7, 8]]]
+        assert MessageBank.from_ints(config, params, nested) == MessageBank.from_ints(
+            config, params, nested
+        )
+        assert MessageBank.from_ints(config, params, nested) != CoefficientBank.from_ints(
+            config, params, nested
+        )
+        assert setup(config) == params
+        assert setup(config, field_override=101) != params
 
 
 class TestAnswers:
@@ -184,17 +226,16 @@ class TestAnswers:
         coeffs = CoefficientBank.random(config, params, 11)
         shares = encode_storage(config, params, messages, 12)
         queries = generate_queries(config, params, coeffs, 13)
-        before = server_answer(1, shares.at_server(1), queries.at_server(1), params)
-        zero = params.field.zero
-        tampered = {
-            key: tuple(tuple(zero for _ in per_l) for per_l in block)
-            for key, block in shares.blocks.items()
-            if key[0] != 1
-        }
-        tampered.update({k: b for k, b in shares.blocks.items() if k[0] == 1})
+        before = collect_answers(config, params, shares, queries)
+        # zero every share row except the ones server 1 holds
+        tampered = tuple(
+            np.where((np.array(group) == 1)[:, None, None], block, 0)
+            for group, block in zip(params.groups, shares.blocks)
+        )
         shares2 = ShareBank(blocks=tampered, noise=shares.noise)
-        after = server_answer(1, shares2.at_server(1), queries.at_server(1), params)
-        assert before == after
+        after = collect_answers(config, params, shares2, queries)
+        assert before[0] == after[0]
+        assert before[1:] != after[1:]
 
     def test_unused_server_answers_zero(self):
         p = StoragePattern(3, (MessageSet((1, 2)),))
@@ -204,9 +245,8 @@ class TestAnswers:
         coeffs = CoefficientBank.random(config, params, 21)
         shares = encode_storage(config, params, messages, 22)
         queries = generate_queries(config, params, coeffs, 23)
-        a3 = server_answer(3, shares.at_server(3), queries.at_server(3), params)
-        assert a3 == params.field.zero
         answers = collect_answers(config, params, shares, queries)
+        assert answers[2] == params.field.zero
         assert reconstruct(answers, params) == expected_combination(
             config, messages, coeffs
         )
@@ -214,12 +254,12 @@ class TestAnswers:
     def test_mismatched_sets_rejected(self):
         config = AsymmConfig(PAIR, (0,), (0,))
         params = setup(config)
-        messages = MessageBank.zeros(config, params)
-        coeffs = CoefficientBank.zeros(config, params)
-        shares = encode_storage(config, params, messages, 1)
-        queries = generate_queries(config, params, coeffs, 2)
+        shares = encode_storage(config, params, zero_bank(config, params), 1)
         with pytest.raises(DimensionMismatch):
-            server_answer(1, shares.at_server(1), {}, params)
+            collect_answers(config, params, shares, QueryBank(blocks=(), noise=()))
+        short = QueryBank(blocks=(np.zeros((2, 1, 1), dtype=np.int64),), noise=())
+        with pytest.raises(DimensionMismatch):
+            collect_answers(config, params, shares, short)
 
     def test_reconstruct_needs_all_answers(self):
         config = AsymmConfig(PAIR, (0,), (0,))
@@ -290,6 +330,13 @@ class TestMerged:
         with pytest.raises(FieldTooSmall):
             simulate_merged(GRAPH_SIX, 1, 1, seed=0, field_override=7)
 
+    def test_single_server_runs_over_two_element_field(self):
+        single = StoragePattern(1, (MessageSet((1,)),))
+        sim = simulate_merged(single, 0, 0, seed=4)
+        assert sim.rate == 1 and sim.run.match
+        assert sim.run.params.field.q == 2
+        assert simulate(AsymmConfig(single, (0,), (0,)), 4).match
+
 
 class TestStorage:
     def test_stored_symbols(self):
@@ -343,6 +390,17 @@ class TestIdentities:
                 [field(v) for v in points[:n]], [field(v) for v in points[n:]]
             )
 
+    def test_dual_grs_needs_two_nodes(self):
+        with pytest.raises(DimensionMismatch):
+            dual_grs_weights([PrimeField(11)(3)])
+
+    def test_cauchy_vandermonde_needs_enough_alpha_points(self):
+        field = PrimeField(11)
+        with pytest.raises(DimensionMismatch):
+            cauchy_vandermonde_check([field(1)], [field(2), field(3)])
+        with pytest.raises(DimensionMismatch):
+            cauchy_vandermonde_check([field(1)], [])
+
     def test_cauchy_vandermonde_rejects_collisions(self):
         field = PrimeField(11)
         with pytest.raises(DuplicateNodes):
@@ -363,16 +421,28 @@ class TestIdentities:
 class TestSampler:
     def test_deterministic(self):
         field = PrimeField(11)
-        a = FieldSampler(field, 99).vector(50)
-        b = FieldSampler(field, 99).vector(50)
-        assert a == b
+        a = FieldSampler(field, 99).draw((50,))
+        b = FieldSampler(field, 99).draw((50,))
+        assert np.array_equal(a, b)
 
     def test_covers_field(self):
         field = PrimeField(5)
-        draws = FieldSampler(field, 1).vector(200)
-        assert {e.value for e in draws} == {0, 1, 2, 3, 4}
+        draws = FieldSampler(field, 1).draw((200,))
+        assert set(draws.tolist()) == {0, 1, 2, 3, 4}
 
     def test_range(self):
         field = PrimeField(7)
-        for e in FieldSampler(field, 2).vector(100):
-            assert 0 <= e.value < 7
+        draws = FieldSampler(field, 2).draw((100,))
+        assert draws.dtype == np.int64
+        assert ((0 <= draws) & (draws < 7)).all()
+
+    def test_blocks_continue_one_stream(self):
+        field = PrimeField(7)
+        whole = FieldSampler(field, 5).draw((12,))
+        sampler = FieldSampler(field, 5)
+        parts = [sampler.draw((3, 2)), sampler.draw((0, 4)), sampler.draw((2, 3))]
+        assert np.concatenate([p.ravel() for p in parts]).tolist() == whole.tolist()
+
+    def test_two_element_field(self):
+        draws = FieldSampler(PrimeField(2), 6).draw((200,))
+        assert set(draws.tolist()) == {0, 1}

@@ -1,0 +1,54 @@
+"""Pinned transcripts: a seed must keep giving the same answers and decoded
+symbols, whatever the protocol code's internal representation.
+
+The digests are SHA-256 of the compact JSON {"answers": [...],
+"decoded": [...]} of residues, for the four built-in demos at seeds 0-2
+and for UNEVEN_NINE over the field of 2**31 - 1.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from gxstplc.demos import GRAPH_FOURTEEN, GRAPH_SIX, UNEVEN_NINE, UNEVEN_SEVEN
+from gxstplc.scheme import AsymmConfig, simulate, simulate_merged
+
+RUNS = {
+    "ex-4.1.1": lambda s: simulate(AsymmConfig(UNEVEN_SEVEN, (0, 0, 0, 0), (1, 2, 1, 2)), s),
+    "ex-4.1.2": lambda s: simulate(AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2)), s),
+    "ex-4.2-1": lambda s: simulate_merged(GRAPH_SIX, 1, 1, s).run,
+    "ex-4.2-2": lambda s: simulate_merged(GRAPH_FOURTEEN, 1, 1, s).run,
+    "nine-q2^31-1": lambda s: simulate(AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2)), s,
+                                       2147483647),
+}
+
+PINNED = {
+    ("ex-4.1.1", 0): "c9d561111bdc2ba0ac0ba4b44269568c0e702c4ad930aafb8df7457efd399e79",
+    ("ex-4.1.1", 1): "8bb1a1128f859dfb8680df42f76df444e9a266db9329386d5cc1cc736da5e92d",
+    ("ex-4.1.1", 2): "ad593bb41ec3ba2a5adcb6a8df5256adeb0bc10e05f0c7dee06a88a1ba75d7c2",
+    ("ex-4.1.2", 0): "04bf0a3ca9968e6f5f87da6e78739d08cc8baf8244e13f30ff9215aafeddebb6",
+    ("ex-4.1.2", 1): "37b0bcb183d5995982c59af30d002463dfdecd6b51ba409a1ffbfee22ba3c9d4",
+    ("ex-4.1.2", 2): "fa1f21d1574d595764f5bf4bc89fa407c848db69531861ca9092b6924de5de56",
+    # the six-server merged system is UNEVEN_NINE with its thresholds, so
+    # its transcripts equal ex-4.1.2's
+    ("ex-4.2-1", 0): "04bf0a3ca9968e6f5f87da6e78739d08cc8baf8244e13f30ff9215aafeddebb6",
+    ("ex-4.2-1", 1): "37b0bcb183d5995982c59af30d002463dfdecd6b51ba409a1ffbfee22ba3c9d4",
+    ("ex-4.2-1", 2): "fa1f21d1574d595764f5bf4bc89fa407c848db69531861ca9092b6924de5de56",
+    ("ex-4.2-2", 0): "f8413f24bfcc2b985a9b23f22fb9ef398800e6507305e2868452f4d5582e690f",
+    ("ex-4.2-2", 1): "fe26d0650937172bbc6ff9380ddfee8d5911766a65149eb2e53923920a4e9a14",
+    ("ex-4.2-2", 2): "275e834eefee9ddac3808934c6fb49b3b13f2d928468442a543de86723080c06",
+    ("nine-q2^31-1", 0): "5c6a8a47a6911ed8c43c0c3c844b89e7c8063c3ca7fa37f634c1357a1f3e2eae",
+    ("nine-q2^31-1", 1): "c67f21c508b58e15a899246fcfdde315224cffd7214a20b9652fa8226451709d",
+    ("nine-q2^31-1", 2): "0c87a88030bca4a5071f17fe02538a5796515782ed98cf4bb1f59a92b663ae9c",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(PINNED))
+def test_transcript_digest(name, seed):
+    run = RUNS[name](seed)
+    assert run.match
+    blob = json.dumps({"answers": [a.value for a in run.transcript.answers],
+                       "decoded": [d.value for d in run.transcript.decoded]},
+                      separators=(",", ":"))
+    assert hashlib.sha256(blob.encode()).hexdigest() == PINNED[(name, seed)]
