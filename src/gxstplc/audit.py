@@ -56,67 +56,84 @@ def _report(mode: str, checked: int, violations: list[Violation],
     )
 
 
-def _security_violation(config: AsymmConfig, params: SchemeParams,
-                        subset: tuple[int, ...], m: int) -> str | None:
-    """None if the subset learns nothing about set m's stored messages."""
+@dataclass(frozen=True)
+class _Side:
+    """One protected side of the scheme, described once for every audit.
+
+    A server at point a adds storage noise with coefficients a^d (d < x_m)
+    and carries secret symbol l as 1/(a - f_l); its query noise has
+    coefficients (a - f_l) a^d (d < t_m) at slot l, its secret u_{m,l}.
+    """
+
+    name: str         # "storage" or "query", the prefix of violation details
+    shortfall: str    # where a rank shortfall lies; {l} is the slot
+    sweep_note: str   # what a zero threshold gives up, per set
+    merged_note: str  # the merged audit's note for a zero threshold
+
+    def threshold(self, config: AsymmConfig, m: int) -> int:
+        return (config.x_vec if self.name == "storage" else config.t_vec)[m - 1]
+
+    def noise_rows(self, params: SchemeParams, a: int, depth: int) -> list[list[int]]:
+        """One row for storage (every slot alike), one per slot for queries."""
+        q = params.field.q
+        powers = [pow(a, d, q) for d in range(depth)]
+        if self.name == "storage":
+            return [powers]
+        return [[(a - f_l) * p % q for p in powers] for f_l in params.f.tolist()]
+
+    def secret(self, params: SchemeParams, a: int, m: int, l: int) -> int:
+        q = params.field.q
+        if self.name == "storage":
+            return pow(a - int(params.f[l - 1]), q - 2, q)
+        return int(params.u[m - 1, l - 1])
+
+
+_SIDES = {side.name: side for side in (
+    _Side("storage", "observed shares", "storage secrecy not promised (x=0)",
+          "security: no colluding sets to check (x=0)"),
+    _Side("query", "at slot {l}", "query privacy not promised (t=0)",
+          "privacy: not applicable (t=0)"),
+)}
+
+
+def _violation(config: AsymmConfig, params: SchemeParams,
+               subset: tuple[int, ...], m: int, side: str) -> str | None:
+    """None if the subset learns nothing about set m on the given side."""
     hit = sorted(set(subset) & set(params.group_of(m)))
     s = len(hit)
     if s == 0:
         return None
-    x_m = config.x_vec[m - 1]
-    if s > x_m:
-        return f"{s} colluders in the group exceed the threshold {x_m}"
+    spec = _SIDES[side]
+    depth = spec.threshold(config, m)
+    if s > depth:
+        return f"{s} colluders in the group exceed the threshold {depth}"
     q = params.field.q
-    rows = [[pow(int(params.alpha[n - 1]), x, q) for x in range(x_m)] for n in hit]
-    rank = rank_mod(rows, q)
-    if rank != s:
-        return f"storage noise covers rank {rank} of {s} observed shares"
-    return None
-
-
-def _privacy_violation(config: AsymmConfig, params: SchemeParams,
-                       subset: tuple[int, ...], m: int) -> str | None:
-    """None if the subset learns nothing about set m's query coefficients."""
-    hit = sorted(set(subset) & set(params.group_of(m)))
-    s = len(hit)
-    if s == 0:
-        return None
-    t_m = config.t_vec[m - 1]
-    if s > t_m:
-        return f"{s} colluders in the group exceed the threshold {t_m}"
-    q = params.field.q
-    points = [int(params.alpha[n - 1]) for n in hit]
-    for l, f_l in enumerate(params.f.tolist(), start=1):
-        rows = [[(a - f_l) * pow(a, t, q) % q for t in range(t_m)] for a in points]
-        rank = rank_mod(rows, q)
+    per_server = [spec.noise_rows(params, int(params.alpha[n - 1]), depth) for n in hit]
+    for l, rows in enumerate(zip(*per_server), start=1):
+        rank = rank_mod(list(rows), q)
         if rank != s:
-            return f"query noise covers rank {rank} of {s} at slot {l}"
+            return f"{side} noise covers rank {rank} of {s} {spec.shortfall.format(l=l)}"
     return None
+
+
+def _certificate(config: AsymmConfig, params: SchemeParams,
+                 subset: tuple[int, ...], side: str) -> bool:
+    return all(
+        _violation(config, params, tuple(subset), m, side) is None
+        for m in range(1, config.m_count + 1)
+    )
 
 
 def security_rank_certificate(config: AsymmConfig, params: SchemeParams,
                               subset: tuple[int, ...]) -> bool:
     """True iff the subset is harmless for the storage of every set."""
-    return all(
-        _security_violation(config, params, tuple(subset), m) is None
-        for m in range(1, config.m_count + 1)
-    )
+    return _certificate(config, params, subset, "storage")
 
 
 def privacy_rank_certificate(config: AsymmConfig, params: SchemeParams,
                              subset: tuple[int, ...]) -> bool:
     """True iff the subset is harmless for the coefficients of every set."""
-    return all(
-        _privacy_violation(config, params, tuple(subset), m) is None
-        for m in range(1, config.m_count + 1)
-    )
-
-
-def _hosted_sets(config: AsymmConfig, n: int) -> list[int]:
-    return [
-        m for m in range(1, config.m_count + 1)
-        if n in config.pattern.servers_of(m)
-    ]
+    return _certificate(config, params, subset, "query")
 
 
 def _independence_side(config: AsymmConfig, params: SchemeParams,
@@ -131,7 +148,7 @@ def _independence_side(config: AsymmConfig, params: SchemeParams,
     """
     q = params.field.q
     l_value = params.l_value
-    depths = config.x_vec if side == "storage" else config.t_vec
+    spec = _SIDES[side]
 
     secret_index: dict[tuple[int, int, int], int] = {}
     for m in range(1, config.m_count + 1):
@@ -140,7 +157,7 @@ def _independence_side(config: AsymmConfig, params: SchemeParams,
                 secret_index[(m, k, l)] = len(secret_index)
     noise_index: dict[tuple[int, int, int, int], int] = {}
     for m in range(1, config.m_count + 1):
-        for d in range(1, depths[m - 1] + 1):
+        for d in range(1, spec.threshold(config, m) + 1):
             for l in range(1, l_value + 1):
                 for k in range(1, config.pattern.count_of(m) + 1):
                     noise_index[(m, d, l, k)] = len(noise_index)
@@ -158,16 +175,13 @@ def _independence_side(config: AsymmConfig, params: SchemeParams,
     forms: list[list[tuple[int, int]]] = []
     for n in sorted(subset):
         a_n = int(params.alpha[n - 1])
-        for m in _hosted_sets(config, n):
-            for l, f_l in enumerate(params.f.tolist(), start=1):
-                if side == "storage":
-                    secret_coeff = pow(a_n - f_l, q - 2, q)
-                    noise_coeffs = [pow(a_n, x, q) for x in range(depths[m - 1])]
-                else:
-                    secret_coeff = int(params.u[m - 1, l - 1])
-                    noise_coeffs = [
-                        (a_n - f_l) * pow(a_n, t, q) % q for t in range(depths[m - 1])
-                    ]
+        for m in range(1, config.m_count + 1):
+            if n not in config.pattern.servers_of(m):
+                continue
+            rows = spec.noise_rows(params, a_n, spec.threshold(config, m))
+            for l in range(1, l_value + 1):
+                secret_coeff = spec.secret(params, a_n, m, l)
+                noise_coeffs = rows[min(l, len(rows)) - 1]  # storage: one row for all slots
                 for k in range(1, config.pattern.count_of(m) + 1):
                     term = [(secret_index[(m, k, l)], secret_coeff)]
                     for d, c in enumerate(noise_coeffs, start=1):
@@ -218,33 +232,25 @@ def exhaustive_independence_audit(config: AsymmConfig, params: SchemeParams,
 def asymm_scheme_audit(config: AsymmConfig, params: SchemeParams) -> AuditReport:
     """Worst-case certificate sweep for an uneven-threshold scheme.
 
-    For every set m, every size-x_m subset of its own replication group
-    is checked against the storage certificate (and size-t_m against the
-    privacy certificate); smaller subsets see submatrices of these.
+    For every set m and each side, every subset of its own replication
+    group up to the side's threshold (x_m or t_m) is checked against that
+    side's certificate; smaller subsets see submatrices of these.
     """
     violations: list[Violation] = []
     notes: list[str] = []
     checked = 0
     for m in range(1, config.m_count + 1):
         group = params.group_of(m)
-        x_m = config.x_vec[m - 1]
-        if x_m == 0:
-            notes.append(f"set {m}: storage secrecy not promised (x=0)")
-        for size in range(1, x_m + 1):
-            for subset in itertools.combinations(group, size):
-                checked += 1
-                detail = _security_violation(config, params, subset, m)
-                if detail is not None:
-                    violations.append(Violation(subset, m, "storage: " + detail))
-        t_m = config.t_vec[m - 1]
-        if t_m == 0:
-            notes.append(f"set {m}: query privacy not promised (t=0)")
-        for size in range(1, t_m + 1):
-            for subset in itertools.combinations(group, size):
-                checked += 1
-                detail = _privacy_violation(config, params, subset, m)
-                if detail is not None:
-                    violations.append(Violation(subset, m, "query: " + detail))
+        for spec in _SIDES.values():
+            depth = spec.threshold(config, m)
+            if depth == 0:
+                notes.append(f"set {m}: {spec.sweep_note}")
+            for size in range(1, depth + 1):
+                for subset in itertools.combinations(group, size):
+                    checked += 1
+                    detail = _violation(config, params, subset, m, spec.name)
+                    if detail is not None:
+                        violations.append(Violation(subset, m, f"{spec.name}: {detail}"))
     return _report("rank_certificate", checked, violations, notes=tuple(notes))
 
 
@@ -255,7 +261,8 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
     A colluding original server exposes all of its virtual copies, so
     each subset of originals maps to a virtual subset whose per-set
     exposure must stay within the inflated thresholds x*gamma_m and
-    t*gamma_m; the rank certificates then run on the virtual scheme.
+    t*gamma_m; the rank certificates then run on the virtual scheme, for
+    the sets holding at least one exposed copy (the others see nothing).
     Small systems are swept exhaustively; larger ones fall back to a
     deterministic sample and say so.
     """
@@ -279,29 +286,24 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
             size = rng.randint(1, limit)
             yield tuple(sorted(rng.sample(range(1, n + 1), size)))
 
+    # touched[o]: the sets holding at least one virtual copy of server o
+    touched = [{m for m, slots in enumerate(a.delta, start=1) if dict(slots).get(o)}
+               for o in range(n + 1)]
+
     violations: list[Violation] = []
     notes: list[str] = []
     checked = 0
-    if x == 0:
-        notes.append("security: no colluding sets to check (x=0)")
-    else:
-        for originals in original_subsets(x):
+    for spec, limit in zip(_SIDES.values(), (x, t)):
+        if limit == 0:
+            notes.append(spec.merged_note)
+            continue
+        for originals in original_subsets(limit):
             checked += 1
             virtual_subset = a.exposed(originals)
-            for m in range(1, config.m_count + 1):
-                detail = _security_violation(config, params, virtual_subset, m)
+            for m in sorted(set().union(*(touched[o] for o in originals))):
+                detail = _violation(config, params, virtual_subset, m, spec.name)
                 if detail is not None:
-                    violations.append(Violation(originals, m, "storage: " + detail))
-    if t == 0:
-        notes.append("privacy: not applicable (t=0)")
-    else:
-        for originals in original_subsets(t):
-            checked += 1
-            virtual_subset = a.exposed(originals)
-            for m in range(1, config.m_count + 1):
-                detail = _privacy_violation(config, params, virtual_subset, m)
-                if detail is not None:
-                    violations.append(Violation(originals, m, "query: " + detail))
+                    violations.append(Violation(originals, m, f"{spec.name}: {detail}"))
     return _report(
         "rank_certificate", checked, violations, sampled=sampled, notes=tuple(notes)
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .capacity import CapacityResult
-from .errors import DegenerateInput
+from .errors import DegenerateInput, InvariantViolation
 from .pattern import MessageSet, StoragePattern
 
 VirtualServer = tuple[int, int]  # (original server, copy index), both 1-based
@@ -109,7 +109,9 @@ def generate_augmented_system(
         slots = tuple((n, min(g, tau[n - 1])) for n in group)
         members = tuple((n, i) for n, d in slots for i in range(1, d + 1))
         nu = sum(d for _, d in slots) - (x + t) * g
-        assert nu >= cap.l_value, "feasible vertex must leave L decodable slots"
+        if nu < cap.l_value:
+            raise InvariantViolation(
+                f"set {m} leaves {nu} decodable slots, fewer than L = {cap.l_value}")
         gamma.append(g)
         x_bar.append(x * g)
         t_bar.append(t * g)

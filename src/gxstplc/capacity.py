@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegeneratePattern
+from .errors import DegeneratePattern, InvariantViolation
 from .exactlp import LinearProgram, LpSolution, RationalVector, lcm_of_denominators, simplex_min
 from .pattern import StoragePattern
 
@@ -77,15 +77,16 @@ def asymptotic_capacity(p: StoragePattern, x: int, t: int) -> CapacityResult:
     lp = build_capacity_lp(p, x, t)
     sol: LpSolution = simplex_min(lp)
     vertex = sol.vertex
-    assert all(0 <= d <= 1 for d in vertex)
+    if not all(0 <= d <= 1 for d in vertex):
+        raise InvariantViolation(f"optimal vertex leaves the unit box: {vertex}")
     l_value = lcm_of_denominators(vertex)
-    tau = []
-    for d in vertex:
-        scaled = d * l_value
-        assert scaled.denominator == 1
-        tau.append(int(scaled))
+    scaled = [d * l_value for d in vertex]
+    if any(s.denominator != 1 for s in scaled):
+        raise InvariantViolation(f"L = {l_value} leaves a fractional download in {vertex}")
+    tau = [int(s) for s in scaled]
     capacity = Fraction(1) / sol.optimum
-    assert capacity == Fraction(l_value, sum(tau))
+    if capacity != Fraction(l_value, sum(tau)):
+        raise InvariantViolation(f"capacity {capacity} is not L/sum(tau) = {l_value}/{sum(tau)}")
     return CapacityResult(
         capacity=capacity,
         degenerate=False,

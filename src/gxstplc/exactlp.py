@@ -22,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import Infeasible, ScaleExceeded, Unbounded
+from .errors import DimensionMismatch, Infeasible, InvariantViolation, ScaleExceeded, Unbounded
 
 RationalVector = tuple[Fraction, ...]
 
@@ -185,13 +185,16 @@ def simplex_min(lp: LinearProgram) -> LpSolution:
     for i in range(r):
         values[basis[i]] = beta[i]
     vertex = tuple(values[:n])
-
-    assert all(0 <= v <= 1 for v in vertex)
-    assert all(
-        sum(v for v, e in zip(vertex, row) if e) >= 1 for row in rows
-    ), "simplex left the feasible region"
+    _check_feasible(vertex, rows)
     optimum = sum((c * v for c, v in zip(lp.objective, vertex)), Fraction(0))
     return LpSolution(optimum=optimum, vertex=vertex, basis=tuple(sorted(basis)))
+
+
+def _check_feasible(vertex: RationalVector, rows) -> None:
+    if not all(0 <= v <= 1 for v in vertex):
+        raise InvariantViolation(f"simplex left the unit box: {vertex}")
+    if not all(sum(v for v, e in zip(vertex, row) if e) >= 1 for row in rows):
+        raise InvariantViolation(f"simplex left the feasible region: {vertex}")
 
 
 def lcm_of_denominators(v: Iterable[Fraction]) -> int:
@@ -209,7 +212,8 @@ def _batched_int_det(mats: np.ndarray) -> np.ndarray:
     """
     a = np.array(mats, dtype=np.int64, copy=True)
     b, k, k2 = a.shape
-    assert k == k2
+    if k != k2:
+        raise DimensionMismatch(f"determinants need square matrices, got {k}x{k2}")
     sign = np.ones(b, dtype=np.int64)
     alive = np.ones(b, dtype=bool)
     prev = np.ones(b, dtype=np.int64)

@@ -181,7 +181,8 @@ class FieldMatrix:
 
     def __init__(self, field: PrimeField, n_rows: int, n_cols: int,
                  entries: Sequence[FieldElement]):
-        assert len(entries) == n_rows * n_cols
+        if len(entries) != n_rows * n_cols:
+            raise DimensionMismatch(f"{len(entries)} entries for a {n_rows}x{n_cols} matrix")
         self.field = field
         self.n_rows = n_rows
         self.n_cols = n_cols
@@ -236,7 +237,10 @@ class FieldMatrix:
 
 
 def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    assert a.field == b.field and a.n_cols == b.n_rows
+    if a.field != b.field:
+        raise FieldMismatch(f"cannot multiply over GF({a.field.q}) and GF({b.field.q})")
+    if a.n_cols != b.n_rows:
+        raise DimensionMismatch(f"cannot multiply {a.n_rows}x{a.n_cols} by {b.n_rows}x{b.n_cols}")
     q = a.field.q
     out = []
     for i in range(a.n_rows):
@@ -316,7 +320,8 @@ def mat_solve(a: FieldMatrix, b: Sequence) -> list[FieldElement]:
 
 
 def mat_inverse(a: FieldMatrix) -> FieldMatrix:
-    assert a.n_rows == a.n_cols
+    if a.n_rows != a.n_cols:
+        raise DimensionMismatch(f"only square matrices invert, got {a.n_rows}x{a.n_cols}")
     n = a.n_rows
     cols = []
     for j in range(n):

@@ -1,4 +1,4 @@
-"""Replicated storage patterns and their server-side duals.
+"""Replicated storage patterns.
 
 A pattern assigns each message set m a replication group R_m, the set of
 servers holding its K_m messages.  Server and set identifiers are 1-based
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .errors import MalformedPattern
 
@@ -72,35 +72,6 @@ class StoragePattern:
     @property
     def counts(self) -> tuple[int, ...]:
         return tuple(ms.count for ms in self.message_sets)
-
-
-@dataclass(frozen=True)
-class DualPattern:
-    """Per-server view: sets_at[n-1] lists the message sets server n holds."""
-
-    n_servers: int
-    sets_at: tuple[tuple[int, ...], ...]
-
-    def invert(self, counts: Sequence[int] | None = None) -> StoragePattern:
-        m_count = max((m for sets in self.sets_at for m in sets), default=0)
-        groups: list[list[int]] = [[] for _ in range(m_count)]
-        for n, sets in enumerate(self.sets_at, start=1):
-            for m in sets:
-                groups[m - 1].append(n)
-        if counts is None:
-            counts = [1] * m_count
-        return StoragePattern(
-            self.n_servers,
-            tuple(MessageSet(tuple(g), k) for g, k in zip(groups, counts)),
-        )
-
-
-def dual(p: StoragePattern) -> DualPattern:
-    sets_at: list[list[int]] = [[] for _ in range(p.n_servers)]
-    for m in range(1, p.m_count + 1):
-        for n in p.servers_of(m):
-            sets_at[n - 1].append(m)
-    return DualPattern(p.n_servers, tuple(tuple(s) for s in sets_at))
 
 
 def min_replication_slack(p: StoragePattern, x: int, t: int) -> int:

@@ -1,5 +1,6 @@
 """Rank certificates against the exhaustive ground-truth audit."""
 
+import dataclasses
 import itertools
 import random
 
@@ -66,6 +67,21 @@ class TestSchemeAudit:
         # security: 4 + 21 subsets, privacy the same
         assert report.checked_subsets == 50
         assert report.violations == ()
+
+    def test_colliding_points_cover_too_little_rank(self):
+        # servers 4 and 5 share set 2 (thresholds 2); one evaluation point
+        # for both leaves their noise rows rank 1
+        config = AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2))
+        params = setup(config)
+        alpha = params.alpha.copy()
+        alpha[3] = alpha[4]
+        report = asymm_scheme_audit(config, dataclasses.replace(params, alpha=alpha))
+        assert not report.passed
+        assert report.checked_subsets == 50
+        assert [(v.subset, v.message_set, v.detail) for v in report.violations] == [
+            ((4, 5), 2, "storage: storage noise covers rank 1 of 2 observed shares"),
+            ((4, 5), 2, "query: query noise covers rank 1 of 2 at slot 1"),
+        ]
 
     def test_uneven_seven_notes_absent_promises(self):
         config = AsymmConfig(UNEVEN_SEVEN, (0, 0, 0, 0), (1, 2, 1, 2))
@@ -146,6 +162,30 @@ class TestMergedAudit:
         assert report.passed
         assert report.checked_subsets == 12
         assert not report.sampled
+
+    def test_lowered_thresholds_name_the_original_subset(self):
+        aug, _, params = merged_setup(GRAPH_SIX, 1, 1)
+        lowered = dataclasses.replace(
+            aug,
+            x_bar=tuple(v - 1 for v in aug.x_bar),
+            t_bar=tuple(v - 1 for v in aug.t_bar),
+        )
+        report = merged_scheme_audit(lowered, params, 1, 1)
+        assert not report.passed
+        assert report.checked_subsets == 12
+        found = [(v.subset, v.message_set, v.detail) for v in report.violations]
+        # server 3 holds copies of both sets; servers 4 and 6 only of set 2
+        storage = [
+            ((1,), 1, "storage: 1 colluders in the group exceed the threshold 0"),
+            ((2,), 1, "storage: 1 colluders in the group exceed the threshold 0"),
+            ((3,), 1, "storage: 1 colluders in the group exceed the threshold 0"),
+            ((3,), 2, "storage: 2 colluders in the group exceed the threshold 1"),
+            ((4,), 2, "storage: 2 colluders in the group exceed the threshold 1"),
+            ((5,), 1, "storage: 1 colluders in the group exceed the threshold 0"),
+            ((6,), 2, "storage: 2 colluders in the group exceed the threshold 1"),
+        ]
+        query = [(s, m, d.replace("storage", "query")) for s, m, d in storage]
+        assert found == storage + query
 
     def test_zero_thresholds_noted(self):
         p = StoragePattern(3, (MessageSet((1, 2, 3)),))

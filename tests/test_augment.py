@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_pattern
+from gxstplc import capacity
 from gxstplc.augment import (
     collusion_exposure,
     generate_augmented_system,
@@ -13,7 +14,8 @@ from gxstplc.augment import (
 )
 from gxstplc.capacity import CapacityResult, asymptotic_capacity
 from gxstplc.demos import GRAPH_FOURTEEN, GRAPH_SIX
-from gxstplc.errors import DegenerateInput
+from gxstplc.errors import DegenerateInput, InvariantViolation
+from gxstplc.exactlp import LpSolution
 from gxstplc.pattern import min_replication_slack
 
 
@@ -146,6 +148,17 @@ class TestValidation:
             vertex=(F(1), F(1)), l_value=1, tau=(1, 1),
         )
         with pytest.raises(DegenerateInput):
+            generate_augmented_system(GRAPH_SIX, 1, 1, cap)
+
+    def test_infeasible_vertex_leaves_too_few_slots(self, monkeypatch):
+        # D_n = 1/10 everywhere passes the capacity checks (L = 10,
+        # tau = 1, capacity 10/6) but covers no group: nu < L
+        vertex = (F(1, 10),) * 6
+        monkeypatch.setattr(capacity, "simplex_min",
+                            lambda lp: LpSolution(optimum=F(6, 10), vertex=vertex, basis=()))
+        cap = asymptotic_capacity(GRAPH_SIX, 1, 1)
+        assert (cap.l_value, cap.tau) == (10, (1,) * 6)
+        with pytest.raises(InvariantViolation):
             generate_augmented_system(GRAPH_SIX, 1, 1, cap)
 
     def test_bad_colluders_rejected(self):

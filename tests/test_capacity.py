@@ -6,10 +6,11 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import random_pattern
+from gxstplc import capacity
 from gxstplc.capacity import asymptotic_capacity, build_capacity_lp
 from gxstplc.demos import GRAPH_FOURTEEN, GRAPH_SIX
-from gxstplc.errors import DegeneratePattern
-from gxstplc.exactlp import enumerate_vertices_oracle, simplex_min
+from gxstplc.errors import DegeneratePattern, InvariantViolation
+from gxstplc.exactlp import LpSolution, enumerate_vertices_oracle, simplex_min
 from gxstplc.pattern import MessageSet, StoragePattern
 
 
@@ -146,3 +147,23 @@ class TestInvariants:
             cap = asymptotic_capacity(p, x, t)
             sol = simplex_min(build_capacity_lp(p, x, t))
             assert cap.capacity == 1 / sol.optimum
+
+
+class TestWrongVertex:
+    """A wrong solver result raises InvariantViolation, also under ``-O``."""
+
+    @pytest.mark.parametrize("vertex, optimum", [
+        ((F(2),) + (F(1),) * 5, F(7)),   # outside the unit box
+        ((F(1, 2),) * 6, F(1)),          # capacity is not L / sum(tau)
+    ])
+    def test_rejected(self, monkeypatch, vertex, optimum):
+        monkeypatch.setattr(capacity, "simplex_min",
+                            lambda lp: LpSolution(optimum=optimum, vertex=vertex, basis=()))
+        with pytest.raises(InvariantViolation):
+            asymptotic_capacity(GRAPH_SIX, 1, 1)
+
+    def test_fractional_download_rejected(self, monkeypatch):
+        # the six-server vertex has halves, which L = 1 cannot clear
+        monkeypatch.setattr(capacity, "lcm_of_denominators", lambda vertex: 1)
+        with pytest.raises(InvariantViolation):
+            asymptotic_capacity(GRAPH_SIX, 1, 1)

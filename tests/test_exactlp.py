@@ -9,9 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_covering_lp
-from gxstplc.errors import ScaleExceeded, Unbounded
+from gxstplc.errors import DimensionMismatch, InvariantViolation, ScaleExceeded, Unbounded
 from gxstplc.exactlp import (
     LinearProgram,
+    _batched_int_det,
+    _check_feasible,
     enumerate_vertices_oracle,
     lcm_of_denominators,
     simplex_min,
@@ -172,7 +174,38 @@ class TestLcm:
         m = lcm_of_denominators(vec)
         assert m >= 1
         assert all((f * m).denominator == 1 for f in vec)
-        # m is not just a clearing multiple but the least one
-        for d in range(1, m):
-            if m % d == 0 and all((f * d).denominator == 1 for f in vec):
-                assert False, f"{d} already clears {vec}"
+        # m is not just a clearing multiple but the least one: every
+        # smaller clearing multiple would divide m // p for a prime p | m
+        for p in _prime_factors(m):
+            assert not all((f * (m // p)).denominator == 1 for f in vec), (
+                f"{m // p} already clears {vec}"
+            )
+
+
+def _prime_factors(n: int) -> set[int]:
+    primes, p = set(), 2
+    while p * p <= n:
+        while n % p == 0:
+            primes.add(p)
+            n //= p
+        p += 1
+    if n > 1:
+        primes.add(n)
+    return primes
+
+
+class TestInvariantErrors:
+    """Checks that stay on under ``python -O``, which strips asserts."""
+
+    def test_vertex_outside_box_rejected(self):
+        with pytest.raises(InvariantViolation):
+            _check_feasible((F(2), F(0)), ((1, 1),))
+
+    def test_infeasible_vertex_rejected(self):
+        with pytest.raises(InvariantViolation):
+            _check_feasible((F(1, 2), F(1, 3)), ((1, 1),))
+        _check_feasible((F(1, 2), F(1, 2)), ((1, 1),))
+
+    def test_batched_det_needs_square_matrices(self):
+        with pytest.raises(DimensionMismatch):
+            _batched_int_det([[[1, 0, 0], [0, 1, 0]]])

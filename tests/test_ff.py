@@ -188,6 +188,27 @@ class TestMatrix:
         with pytest.raises(DimensionMismatch):
             FieldMatrix.from_rows(PrimeField(7), [[1, 2], [3]])
 
+    def test_entry_count_must_match_shape(self):
+        f = PrimeField(7)
+        with pytest.raises(DimensionMismatch):
+            FieldMatrix(f, 2, 2, [f(1)])
+
+    def test_mat_mul_checks_shapes_and_fields(self):
+        f = PrimeField(7)
+        square = FieldMatrix.from_rows(f, [[1, 2], [3, 4]])
+        with pytest.raises(DimensionMismatch):
+            mat_mul(square, FieldMatrix.from_rows(f, [[1], [2], [3]]))
+        with pytest.raises(FieldMismatch):
+            mat_mul(square, FieldMatrix.identity(PrimeField(5), 2))
+
+    def test_inverse_needs_square_matrix(self):
+        f = PrimeField(7)
+        with pytest.raises(DimensionMismatch):
+            mat_inverse(FieldMatrix.from_rows(f, [[1, 2, 3], [4, 5, 6]]))
+        # no column to solve for, so only the shape check can catch it
+        with pytest.raises(DimensionMismatch):
+            mat_inverse(FieldMatrix(f, 0, 3, []))
+
     def test_solve_mod_on_integer_rows(self):
         # 2x + y = 3, x + 3y = 4 over F_7: x = 1, y = 1
         assert solve_mod([[2, 1, 3], [1, 3, 4]], 7) == [1, 1]

@@ -46,10 +46,13 @@ def test_mixed_fields_raise_under_optimization():
 def test_shape_checks_raise_under_optimization():
     code = (
         "from gxstplc.errors import DimensionMismatch\n"
-        "from gxstplc.ff import FieldMatrix, PrimeField, mat_solve\n"
+        "from gxstplc.ff import FieldMatrix, PrimeField, mat_mul, mat_solve\n"
         "F = PrimeField(7)\n"
         "for make in (lambda: FieldMatrix.from_rows(F, [[1, 2], [3]]),\n"
-        "             lambda: mat_solve(FieldMatrix.from_rows(F, [[1, 2, 3], [4, 5, 6]]), [1, 2])):\n"
+        "             lambda: mat_solve(FieldMatrix.from_rows(F, [[1, 2, 3], [4, 5, 6]]), [1, 2]),\n"
+        "             lambda: FieldMatrix(F, 2, 2, [F(1)]),\n"
+        "             lambda: mat_mul(FieldMatrix.identity(F, 2),\n"
+        "                             FieldMatrix.from_rows(F, [[1], [2], [3]]))):\n"
         "    try:\n"
         "        make()\n"
         "    except DimensionMismatch:\n"
@@ -57,5 +60,5 @@ def test_shape_checks_raise_under_optimization():
     )
     result = run_optimized("-c", code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["raised", "raised"]
+    assert result.stdout.split() == ["raised"] * 4
 

@@ -1,4 +1,4 @@
-"""Storage patterns, duals, and the JSON interchange format."""
+"""Storage patterns and the JSON interchange format."""
 
 import json
 import random
@@ -8,10 +8,8 @@ import pytest
 from conftest import random_pattern
 from gxstplc.demos import GRAPH_FOURTEEN, GRAPH_SIX, UNEVEN_SEVEN
 from gxstplc.pattern import (
-    DualPattern,
     MessageSet,
     StoragePattern,
-    dual,
     load_pattern,
     min_replication_slack,
     pattern_from_dict,
@@ -56,36 +54,6 @@ class TestValidation:
         assert p.count_of(1) == 3
         assert p.replication_factors == (2, 3)
         assert p.counts == (3, 1)
-
-
-class TestDual:
-    def test_uneven_seven_sets_at(self):
-        d = dual(UNEVEN_SEVEN)
-        assert d.sets_at[0] == (1, 3)      # server 1
-        assert d.sets_at[1] == (1, 2, 4)   # server 2
-        assert d.sets_at[3] == (1, 2, 3)   # server 4
-        assert d.sets_at[6] == (3,)        # server 7
-
-    def test_graph_six_sets_at(self):
-        d = dual(GRAPH_SIX)
-        assert d.sets_at == ((1,), (1,), (1, 2), (2,), (1,), (2,))
-
-    def test_invert_roundtrip_examples(self):
-        for p in (UNEVEN_SEVEN, GRAPH_SIX, GRAPH_FOURTEEN):
-            assert dual(p).invert(p.counts) == p
-
-    def test_invert_roundtrip_random(self):
-        rng = random.Random(2201)
-        for _ in range(80):
-            p = random_pattern(rng, n_max=8, m_max=4, count_max=3)
-            assert dual(p).invert(p.counts) == p
-
-    def test_invert_default_counts(self):
-        d = DualPattern(3, ((1,), (1, 2), (2,)))
-        p = d.invert()
-        assert p.counts == (1, 1)
-        assert p.servers_of(1) == (1, 2)
-        assert p.servers_of(2) == (2, 3)
 
 
 class TestSlack:
