@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .errors import DegeneratePattern, InvariantViolation
 from .exactlp import LinearProgram, LpSolution, RationalVector, lcm_of_denominators, simplex_min
-from .pattern import StoragePattern
+from .pattern import StoragePattern, min_replication_slack
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def asymptotic_capacity(p: StoragePattern, x: int, t: int) -> CapacityResult:
     """
     if x < 0 or t < 0:
         raise ValueError("thresholds must be nonnegative")
-    if min(p.replication_factors) - x - t <= 0:
+    if min_replication_slack(p, x, t) <= 0:
         return CapacityResult(
             capacity=Fraction(0), degenerate=True, vertex=None, l_value=None, tau=None
         )

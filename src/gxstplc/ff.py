@@ -1,15 +1,17 @@
 """Prime-field arithmetic and exact linear algebra.
 
 Everything here is deterministic and exact: elements are residues mod a
-prime q, inverses come from Fermat's little theorem, and the elimination
-routines always take the first nonzero pivot in row order.
+prime q and inverses come from Fermat's little theorem.  Field linear
+algebra works on matrices written as integer rows mod q, through one
+eliminator (``_eliminate``, always the first nonzero pivot in row
+order) behind ``rank_mod`` and ``solve_mod``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterator
 
-from .errors import DimensionMismatch, DuplicateNodes, FieldMismatch, SingularMatrix
+from .errors import FieldMismatch, SingularMatrix
 
 MAX_MODULUS = 2**31  # keeps products of two residues inside 64-bit range
 
@@ -149,7 +151,8 @@ class FieldElement:
         return FieldElement(-self.value, self.field)
 
     def __pow__(self, exponent: int):
-        assert exponent >= 0, "negative exponents: use inverse() explicitly"
+        if exponent < 0:
+            raise ValueError("negative exponents: use inverse() explicitly")
         return FieldElement(pow(self.value, exponent, self.field.q), self.field)
 
     def inverse(self) -> "FieldElement":
@@ -172,85 +175,6 @@ class FieldElement:
 
     def __repr__(self) -> str:
         return f"{self.value}"
-
-
-class FieldMatrix:
-    """A dense matrix of FieldElements, stored row-major."""
-
-    __slots__ = ("field", "n_rows", "n_cols", "entries")
-
-    def __init__(self, field: PrimeField, n_rows: int, n_cols: int,
-                 entries: Sequence[FieldElement]):
-        if len(entries) != n_rows * n_cols:
-            raise DimensionMismatch(f"{len(entries)} entries for a {n_rows}x{n_cols} matrix")
-        self.field = field
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-        self.entries = list(entries)
-
-    @classmethod
-    def from_rows(cls, field: PrimeField, rows: Sequence[Sequence]) -> "FieldMatrix":
-        n_rows = len(rows)
-        n_cols = len(rows[0]) if n_rows else 0
-        flat = []
-        for row in rows:
-            if len(row) != n_cols:
-                raise DimensionMismatch(f"ragged rows: {len(row)} entries, expected {n_cols}")
-            for e in row:
-                flat.append(e if isinstance(e, FieldElement) else field(e))
-        return cls(field, n_rows, n_cols, flat)
-
-    @classmethod
-    def identity(cls, field: PrimeField, n: int) -> "FieldMatrix":
-        return cls.from_rows(
-            field, [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-        )
-
-    def entry(self, i: int, j: int) -> FieldElement:
-        return self.entries[i * self.n_cols + j]
-
-    def row(self, i: int) -> list[FieldElement]:
-        return self.entries[i * self.n_cols:(i + 1) * self.n_cols]
-
-    def column(self, j: int) -> list[FieldElement]:
-        return [self.entry(i, j) for i in range(self.n_rows)]
-
-    def rows(self) -> list[list[FieldElement]]:
-        return [self.row(i) for i in range(self.n_rows)]
-
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix.from_rows(
-            self.field, [self.column(j) for j in range(self.n_cols)]
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FieldMatrix):
-            return NotImplemented
-        return (self.field == other.field
-                and self.n_rows == other.n_rows
-                and self.n_cols == other.n_cols
-                and self.entries == other.entries)
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(e) for e in row) for row in self.rows())
-        return f"FieldMatrix({self.n_rows}x{self.n_cols}: {body})"
-
-
-def mat_mul(a: FieldMatrix, b: FieldMatrix) -> FieldMatrix:
-    if a.field != b.field:
-        raise FieldMismatch(f"cannot multiply over GF({a.field.q}) and GF({b.field.q})")
-    if a.n_cols != b.n_rows:
-        raise DimensionMismatch(f"cannot multiply {a.n_rows}x{a.n_cols} by {b.n_rows}x{b.n_cols}")
-    q = a.field.q
-    out = []
-    for i in range(a.n_rows):
-        arow = a.row(i)
-        for j in range(b.n_cols):
-            acc = 0
-            for k in range(a.n_cols):
-                acc += arow[k].value * b.entry(k, j).value
-            out.append(FieldElement(acc % q, a.field))
-    return FieldMatrix(a.field, a.n_rows, b.n_cols, out)
 
 
 def _eliminate(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
@@ -299,50 +223,3 @@ def solve_mod(rows: list[list[int]], q: int) -> list[int]:
     if pivots != list(range(n)):
         raise SingularMatrix("coefficient matrix is singular")
     return [row[n] for row in rows]
-
-
-def mat_rank(m: FieldMatrix) -> int:
-    return rank_mod([[e.value for e in m.row(i)] for i in range(m.n_rows)], m.field.q)
-
-
-def mat_solve(a: FieldMatrix, b: Sequence) -> list[FieldElement]:
-    """Solve the square system a * x = b; raises SingularMatrix otherwise."""
-    if a.n_rows != a.n_cols:
-        raise DimensionMismatch(f"mat_solve needs a square matrix, got {a.n_rows}x{a.n_cols}")
-    field = a.field
-    q = field.q
-    n = a.n_rows
-    if len(b) != n:
-        raise SingularMatrix(f"rhs length {len(b)} does not match size {n}")
-    rhs = [e.value if isinstance(e, FieldElement) else e % q for e in b]
-    rows = [[a.entry(i, j).value for j in range(n)] + [rhs[i]] for i in range(n)]
-    return [FieldElement(v, field) for v in solve_mod(rows, q)]
-
-
-def mat_inverse(a: FieldMatrix) -> FieldMatrix:
-    if a.n_rows != a.n_cols:
-        raise DimensionMismatch(f"only square matrices invert, got {a.n_rows}x{a.n_cols}")
-    n = a.n_rows
-    cols = []
-    for j in range(n):
-        e_j = [1 if i == j else 0 for i in range(n)]
-        cols.append(mat_solve(a, e_j))
-    return FieldMatrix.from_rows(a.field, cols).transpose()
-
-
-def vandermonde(nodes: Sequence[FieldElement], height: int) -> FieldMatrix:
-    """Matrix with entry (i, j) = nodes[j] ** i, for i in range(height).
-
-    The nodes must be pairwise distinct; any collision makes downstream
-    interpolation ill-posed, so it is rejected here.
-    """
-    vals = [n.value for n in nodes]
-    if len(set(vals)) != len(vals):
-        raise DuplicateNodes(f"evaluation points collide: {vals}")
-    field = nodes[0].field
-    rows = []
-    power = [field.one for _ in nodes]
-    for _ in range(height):
-        rows.append(list(power))
-        power = [p * x for p, x in zip(power, nodes)]
-    return FieldMatrix.from_rows(field, rows)

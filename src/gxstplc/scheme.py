@@ -46,15 +46,7 @@ from .errors import (
     FieldTooSmall,
     InvariantViolation,
 )
-from .ff import (
-    FieldElement,
-    FieldMatrix,
-    PrimeField,
-    mat_solve,
-    smallest_prime_at_least,
-    solve_mod,
-    vandermonde,
-)
+from .ff import FieldElement, PrimeField, smallest_prime_at_least, solve_mod
 from .pattern import StoragePattern
 
 
@@ -81,10 +73,7 @@ class AsymmConfig:
             raise DimensionMismatch("threshold vectors must have one entry per set")
         if any(v < 0 for v in self.x_vec + self.t_vec):
             raise ValueError("thresholds must be nonnegative")
-        slack = min(
-            len(ms.servers) - x - t
-            for ms, x, t in zip(self.pattern.message_sets, self.x_vec, self.t_vec)
-        )
+        slack = self._slack()
         if slack <= 0:
             raise DegenerateConfig(
                 "thresholds leave no decodable symbols: "
@@ -116,8 +105,10 @@ class AsymmConfig:
 
     @property
     def l_effective(self) -> int:
-        if self.l_value is not None:
-            return self.l_value
+        return self._slack() if self.l_value is None else self.l_value
+
+    def _slack(self) -> int:
+        """min_m (|R_m| - x_m - t_m), the most symbols a round can decode."""
         return min(
             len(ms.servers) - x - t
             for ms, x, t in zip(self.pattern.message_sets, self.x_vec, self.t_vec)
@@ -307,7 +298,7 @@ class MessageBank(_Residues):
     @classmethod
     def random(cls, config: AsymmConfig, params: SchemeParams,
                seed) -> "MessageBank":
-        sampler = seed if isinstance(seed, FieldSampler) else FieldSampler(params.field, seed)
+        sampler = FieldSampler(params.field, seed)
         shapes = _shapes(config, params.l_value)
         return cls(params.field, tuple(sampler.draw(s) for s in shapes))
 
@@ -470,22 +461,17 @@ def cauchy_vandermonde_check(alpha_nodes: Sequence[FieldElement],
     vals = [e.value for e in alpha_nodes] + [e.value for e in f_nodes]
     if len(set(vals)) != len(vals):
         raise DuplicateNodes(f"evaluation points collide: {vals}")
-    field = alpha_nodes[0].field
-    points = np.array(vals[:n], dtype=np.int64)
-    d_v = _node_products(points, points, field.q, skip_own=True)
-    d_u = _node_products(np.array(vals[n:], dtype=np.int64), points, field.q)
-
-    cauchy = FieldMatrix.from_rows(
-        field,
-        [[(a - f).inverse() for f in f_nodes] for a in alpha_nodes],
-    )
-    v_alpha = vandermonde(alpha_nodes, n)
-    v_f = vandermonde(f_nodes, n)
-    solved_cols = [mat_solve(v_alpha, v_f.column(j)) for j in range(l)]
-    for i in range(n):
-        for j in range(l):
-            rhs = -(field(int(d_v[i])) * solved_cols[j][i] / field(int(d_u[j])))
-            if cauchy.entry(i, j) != rhs:
+    q = alpha_nodes[0].field.q
+    alpha, points = vals[:n], np.array(vals[:n], dtype=np.int64)
+    d_v = _node_products(points, points, q, skip_own=True).tolist()
+    d_u = _node_products(np.array(vals[n:], dtype=np.int64), points, q).tolist()
+    for f_j, u_j in zip(vals[n:], d_u):
+        # column j of V_alpha^{-1} V_f solves V_alpha x = (f_j^i)_i
+        column = solve_mod([[pow(a, i, q) for a in alpha] + [pow(f_j, i, q)]
+                            for i in range(n)], q)
+        scale = -pow(u_j, q - 2, q)
+        for a, d, x in zip(alpha, d_v, column):
+            if pow(a - f_j, q - 2, q) != d * x * scale % q:
                 return False
     return True
 

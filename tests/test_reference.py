@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_config
-from gxstplc.ff import PrimeField, mat_solve, vandermonde
+from gxstplc.ff import solve_mod
 from gxstplc.pattern import MessageSet, StoragePattern
 from gxstplc.scheme import (
     AsymmConfig,
@@ -97,9 +97,7 @@ def reference_round(config, q, seed):
     ]
     sums = [sum(pow(a, i, q) * ans for a, ans in zip(alpha, answers)) % q
             for i in range(l_value)]
-    field = PrimeField(q)
-    vf = vandermonde([field(p) for p in f], l_value)
-    decoded = [e.value for e in mat_solve(vf, [-s for s in sums])]
+    decoded = solve_mod([[pow(p, i, q) for p in f] + [-s % q] for i, s in enumerate(sums)], q)
     expected = [sum(lam[(m, k, l)] * w[(m, k, l)] for m in sets
                     for k in range(1, count[m] + 1)) % q
                 for l in range(1, l_value + 1)]

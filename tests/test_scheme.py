@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import random_config
+from gxstplc import scheme
 from gxstplc.demos import GRAPH_SIX, UNEVEN_NINE, UNEVEN_SEVEN
 from gxstplc.errors import (
     DegenerateConfig,
@@ -405,6 +406,13 @@ class TestIdentities:
         field = PrimeField(11)
         with pytest.raises(DuplicateNodes):
             cauchy_vandermonde_check([field(1), field(2)], [field(1)])
+
+    def test_cauchy_vandermonde_detects_a_wrong_factor(self, monkeypatch):
+        field = PrimeField(11)
+        alpha, f = [field(1), field(2), field(3)], [field(4), field(5)]
+        exact = scheme._node_products
+        monkeypatch.setattr(scheme, "_node_products", lambda *a, **k: exact(*a, **k) + 1)
+        assert not cauchy_vandermonde_check(alpha, f)
 
     def test_alignment_identity_full_range(self):
         config = AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2))
