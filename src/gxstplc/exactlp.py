@@ -8,8 +8,9 @@ which is the shape download-allocation programs take.  Every vertex of
 that region lies in the unit box (a coordinate above 1 appears in no
 tight row, so the tight constraints cannot reach full rank), so the
 solver works on the region intersected with x <= 1 without changing the
-optimum.  Arithmetic is fractions.Fraction throughout; nothing is ever
-rounded.
+optimum.  Nothing is ever rounded: the simplex pivots an integer tableau
+M over one common positive denominator D, so that the tableau is
+T = M / D, and keeps basic values and results as fractions.Fraction.
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ class LpSolution:
     optimum: Fraction
     vertex: RationalVector
     basis: tuple[int, ...]
+    pivots: int
+    bound_flips: int
 
 
 def simplex_min(lp: LinearProgram) -> LpSolution:
@@ -86,108 +89,102 @@ def simplex_min(lp: LinearProgram) -> LpSolution:
     Structural variables carry bounds [0, 1]; surplus variables are
     [0, inf).  The all-ones point is feasible for every valid program,
     so the starting basis is simply "every x at its upper bound, every
-    surplus basic" and no phase-1 pass is needed.  Bland's smallest-index
-    rule for both the entering and the leaving variable rules out
-    cycling and makes the returned vertex canonical.
+    surplus basic" and no phase-1 pass is needed.  That start, the row
+    order (for capacity programs, that of ``build_capacity_lp``) and
+    Bland's rule fix the returned vertex: the smallest-index improving
+    variable enters, the smallest-index basic variable among the tied
+    ratio-test minima leaves, and the entering variable swaps bounds
+    instead when its own box is the nearer limit.  Another solver must
+    return the same vertex to keep ``tau`` and every transcript.
+
+    The tableau T = B^{-1} [A | -I] is kept fraction-free: T = M / D
+    with M integer and D = |det B| > 0.  A pivot on (p, e) with
+    a = M[p][e] maps row i != p to (M[i] a - M[i][e] M[p]) / D, an exact
+    division because every entry is a minor (Bareiss), keeps row p and
+    sets D = a; a negative a negates every row and sets D = -a.  The
+    reduced costs are one more such row, D C - C_B M for the objective C
+    scaled to integers, so pricing is a sign test.  Basic values stay
+    Fractions.
     """
     n = lp.n_vars
     rows = lp.rows
-    cost = list(lp.objective)
-    for j, cj in enumerate(cost):
+    for j, cj in enumerate(lp.objective):
         if cj < 0:
             # x_j can grow along its own axis without leaving the cone
             raise Unbounded(f"objective coefficient {j} is negative")
 
     r = len(rows)
-    total = n + r
-    # tableau T = B^{-1} [A | -I] for the current basis B; the surplus
-    # start makes B = -I, hence T = [-A | I]
-    tableau = [
-        [Fraction(-rows[i][j]) for j in range(n)]
-        + [Fraction(1 if k == i else 0) for k in range(r)]
-        for i in range(r)
-    ]
-    beta = [Fraction(sum(rows[i]) - 1) for i in range(r)]  # surplus at x = 1
+    # the surplus start makes B = -I, hence M = [-A | I] over D = 1
+    tableau = [[-e for e in row] + [int(k == i) for k in range(r)] for i, row in enumerate(rows)]
+    denom = 1
+    scale = lcm_of_denominators(lp.objective)
+    reduced = [int(c * scale) for c in lp.objective] + [0] * r  # surplus costs are 0
+    beta = [Fraction(sum(row) - 1) for row in rows]  # surplus at x = 1
     if any(b < 0 for b in beta):
         raise Infeasible("a constraint row rejects the all-ones point")
     basis = [n + i for i in range(r)]
-    in_basis = [False] * n + [True] * r
-    at_upper = [True] * n + [False] * r
-    upper: list[Fraction | None] = [Fraction(1)] * n + [None] * r
-    cost_full = cost + [Fraction(0)] * r
+    at_upper = [True] * n + [False] * r  # only structural variables (j < n) have x_j <= 1
+    one = Fraction(1)
+    pivots = bound_flips = 0
 
     while True:
-        cb = [cost_full[basis[i]] for i in range(r)]
-        entering = -1
-        for j in range(total):
-            if in_basis[j]:
-                continue
-            zj = cost_full[j] - sum(cb[i] * tableau[i][j] for i in range(r))
-            if (zj < 0 and not at_upper[j]) or (zj > 0 and at_upper[j]):
-                entering = j
-                break
+        # basic columns have reduced cost 0 exactly, so only nonbasic ones qualify
+        entering = next((j for j, z in enumerate(reduced) if z and (z > 0) == at_upper[j]), -1)
         if entering < 0:
             break
 
         increasing = not at_upper[entering]
-        col = [tableau[i][entering] for i in range(r)]
-        # per unit step of the entering variable, basic i moves by delta_i
-        deltas = [-col[i] if increasing else col[i] for i in range(r)]
-        best_t: Fraction | None = None
-        leave_pos = -1
-        leave_to_upper = False
-        for i in range(r):
-            d = deltas[i]
+        # per unit step of the entering variable, basic i moves by deltas[i] / D
+        deltas = [-row[entering] if increasing else row[entering] for row in tableau]
+        best_t, leave_pos, leave_to_upper = None, -1, False
+        for i, d in enumerate(deltas):
             k = basis[i]
             if d < 0:
-                t = beta[i] / (-d)
-                hits_upper = False
-            elif d > 0 and upper[k] is not None:
-                t = (upper[k] - beta[i]) / d
-                hits_upper = True
+                t = beta[i] * denom / -d
+            elif d > 0 and k < n:
+                t = (one - beta[i]) * denom / d
             else:
                 continue
             if best_t is None or t < best_t or (t == best_t and k < basis[leave_pos]):
-                best_t, leave_pos, leave_to_upper = t, i, hits_upper
+                best_t, leave_pos, leave_to_upper = t, i, d > 0
 
-        span = upper[entering]  # None for surplus variables
-        if best_t is None and span is None:
+        if best_t is None and entering >= n:
             raise Unbounded("no constraint limits the improving direction")
-        if span is not None and (best_t is None or span < best_t):
+        flip = entering < n and (best_t is None or one < best_t)
+        step = one if flip else best_t
+        for i, d in enumerate(deltas):
+            if d:
+                beta[i] += d * step / denom
+        if flip:
             # the entering variable swaps bounds without entering the basis
-            for i in range(r):
-                beta[i] += deltas[i] * span
             at_upper[entering] = not at_upper[entering]
+            bound_flips += 1
             continue
 
-        t = best_t
-        for i in range(r):
-            beta[i] += deltas[i] * t
-        leaving = basis[leave_pos]
-        in_basis[leaving] = False
-        at_upper[leaving] = leave_to_upper
-        in_basis[entering] = True
+        at_upper[basis[leave_pos]] = leave_to_upper
         basis[leave_pos] = entering
-        beta[leave_pos] = Fraction(0) + t if increasing else upper[entering] - t
+        beta[leave_pos] = step if increasing else one - step
+        prow = tableau[leave_pos]
+        a = prow[entering]
+        if a < 0:
+            prow = tableau[leave_pos] = [-y for y in prow]
+            a = -a
+        for row in itertools.chain(tableau, (reduced,)):
+            f = row[entering]
+            if row is not prow and (f or a != denom):
+                row[:] = [(x * a - f * y) // denom for x, y in zip(row, prow)]
+        denom = a
+        pivots += 1
 
-        pivot = tableau[leave_pos][entering]
-        tableau[leave_pos] = [e / pivot for e in tableau[leave_pos]]
-        for i in range(r):
-            if i != leave_pos and tableau[i][entering] != 0:
-                f = tableau[i][entering]
-                prow = tableau[leave_pos]
-                tableau[i] = [a - f * b for a, b in zip(tableau[i], prow)]
-
-    values = [Fraction(0)] * total
-    for j in range(total):
-        if not in_basis[j] and at_upper[j]:
-            values[j] = upper[j]
-    for i in range(r):
-        values[basis[i]] = beta[i]
-    vertex = tuple(values[:n])
+    values = [one if at_upper[j] else Fraction(0) for j in range(n)]
+    for i, k in enumerate(basis):
+        if k < n:
+            values[k] = beta[i]
+    vertex = tuple(values)
     _check_feasible(vertex, rows)
     optimum = sum((c * v for c, v in zip(lp.objective, vertex)), Fraction(0))
-    return LpSolution(optimum=optimum, vertex=vertex, basis=tuple(sorted(basis)))
+    return LpSolution(optimum=optimum, vertex=vertex, basis=tuple(sorted(basis)),
+                      pivots=pivots, bound_flips=bound_flips)
 
 
 def _check_feasible(vertex: RationalVector, rows) -> None:

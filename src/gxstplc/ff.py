@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .errors import FieldMismatch, SingularMatrix
+from .errors import DimensionMismatch, FieldMismatch, SingularMatrix
 
 MAX_MODULUS = 2**31  # keeps products of two residues inside 64-bit range
 
@@ -217,8 +217,10 @@ def rank_mod(rows: list[list[int]], q: int) -> int:
 def solve_mod(rows: list[list[int]], q: int) -> list[int]:
     """Solve a square system over F_q given as augmented integer rows
     [A | b] (the rows are consumed); raises SingularMatrix unless A is
-    invertible."""
+    invertible and DimensionMismatch unless it gets n rows of n + 1 entries."""
     n = len(rows)
+    if any(len(row) != n + 1 for row in rows):
+        raise DimensionMismatch(f"a square system of {n} rows needs {n + 1} entries a row")
     rows, pivots = _eliminate(rows, q)
     if pivots != list(range(n)):
         raise SingularMatrix("coefficient matrix is singular")

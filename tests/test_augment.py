@@ -155,7 +155,8 @@ class TestValidation:
         # tau = 1, capacity 10/6) but covers no group: nu < L
         vertex = (F(1, 10),) * 6
         monkeypatch.setattr(capacity, "simplex_min",
-                            lambda lp: LpSolution(optimum=F(6, 10), vertex=vertex, basis=()))
+                            lambda lp: LpSolution(optimum=F(6, 10), vertex=vertex, basis=(),
+                                                  pivots=0, bound_flips=0))
         cap = asymptotic_capacity(GRAPH_SIX, 1, 1)
         assert (cap.l_value, cap.tau) == (10, (1,) * 6)
         with pytest.raises(InvariantViolation):

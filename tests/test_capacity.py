@@ -158,7 +158,8 @@ class TestWrongVertex:
     ])
     def test_rejected(self, monkeypatch, vertex, optimum):
         monkeypatch.setattr(capacity, "simplex_min",
-                            lambda lp: LpSolution(optimum=optimum, vertex=vertex, basis=()))
+                            lambda lp: LpSolution(optimum=optimum, vertex=vertex, basis=(),
+                                                  pivots=0, bound_flips=0))
         with pytest.raises(InvariantViolation):
             asymptotic_capacity(GRAPH_SIX, 1, 1)
 

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from gxstplc.errors import FieldMismatch, SingularMatrix
+from gxstplc.errors import DimensionMismatch, FieldMismatch, SingularMatrix
 from gxstplc.ff import (
     MAX_MODULUS,
     PrimeField,
@@ -152,6 +152,14 @@ class TestMatrix:
         assert solve_mod([[2, 1, 3], [1, 3, 4]], 7) == [1, 1]
         with pytest.raises(SingularMatrix):
             solve_mod([[1, 2, 1], [2, 4, 3]], 7)
+
+    @pytest.mark.parametrize("rows", [
+        [[1, 2, 3, 4], [5, 6, 0, 1]],   # a 2x3 coefficient block
+        [[1, 2, 3], [4, 5]],            # a short row
+    ])
+    def test_solve_mod_needs_a_square_system(self, rows):
+        with pytest.raises(DimensionMismatch):
+            solve_mod(rows, 7)
 
     def test_inverse(self):
         # column j of the inverse solves m x = e_j

@@ -5,14 +5,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_optimized(*args: str) -> subprocess.CompletedProcess:
+def run_python(*args: str, optimize: bool = True, text: bool = True):
+    """Run python (with -O unless ``optimize`` is false) on ``args`` from the repo root."""
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-O", *args], cwd=ROOT, capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=path), timeout=600,
+        [sys.executable, *(["-O"] if optimize else []), *args], cwd=ROOT,
+        capture_output=True, text=text, env=dict(os.environ, PYTHONPATH=path), timeout=600,
     )
 
 
@@ -21,7 +24,7 @@ def test_demo_scripts_run_optimized():
     assert len(scripts) == 5
     failures = {}
     for script in scripts:
-        result = run_optimized(str(script))
+        result = run_python(str(script))
         if result.returncode != 0:
             failures[script.name] = result.stderr[-2000:]
     assert failures == {}
@@ -38,7 +41,7 @@ def test_mixed_fields_raise_under_optimization():
         "except FieldMismatch:\n"
         "    print('raised', sys.flags.optimize)\n"
     )
-    result = run_optimized("-c", code)
+    result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["raised", "1"]
 
@@ -51,6 +54,18 @@ def test_negative_power_raises_under_optimization():
         "except ValueError:\n"
         "    print('raised')\n"
     )
-    result = run_optimized("-c", code)
+    result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["raised"]
+
+
+@pytest.mark.parametrize("pattern", ["six_server", "fourteen_server"])
+@pytest.mark.parametrize("command", [["capacity"], ["simulate", "--seed", "0"]])
+def test_cli_stdout_is_the_same_under_optimization(pattern, command):
+    argv = ["-m", "gxstplc", command[0], "--pattern",
+            str(ROOT / "demos" / "patterns" / f"{pattern}.json"), "--x", "1", "--t", "1",
+            *command[1:]]
+    plain = run_python(*argv, optimize=False, text=False)
+    optimized = run_python(*argv, text=False)
+    assert plain.returncode == optimized.returncode == 0, plain.stderr + optimized.stderr
+    assert plain.stdout and optimized.stdout == plain.stdout

@@ -1,20 +1,35 @@
-"""The protocol written one symbol at a time over plain ints, as an oracle
-for the residue-array code in gxstplc.scheme.
+"""Plain reference implementations, as oracles for the fast code.
 
-The reference draws every residue with its own generator call, keys
-shares and queries by (server, set) and noise by (set, depth, slot), and
-decodes by Gaussian elimination; the array code must agree with it on
-every constant, bank, block, answer and decoded symbol.
+The protocol written one symbol at a time over plain ints checks the
+residue-array code in gxstplc.scheme.  The reference draws every residue
+with its own generator call, keys shares and queries by (server, set)
+and noise by (set, depth, slot), and decodes by Gaussian elimination; the
+array code must agree with it on every constant, bank, block, answer and
+decoded symbol.
+
+The dense Fraction-tableau simplex checks the fraction-free tableau of
+gxstplc.exactlp.simplex_min: both take the same Bland pivots, so they
+must return the same optimum, vertex, basis and pivot and bound-flip
+counts.
 """
 
+import itertools
 import random
+from fractions import Fraction
 from math import prod
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_config
+from conftest import random_config, random_pattern
+from gxstplc.capacity import build_capacity_lp
+from gxstplc.demos import GRAPH_FOURTEEN, GRAPH_SIX, UNEVEN_NINE, UNEVEN_SEVEN
+from gxstplc.errors import Infeasible, Unbounded
+from gxstplc.exactlp import LinearProgram, LpSolution, simplex_min
 from gxstplc.ff import solve_mod
+from gxstplc.pattern import min_replication_slack
 from gxstplc.pattern import MessageSet, StoragePattern
 from gxstplc.scheme import (
     AsymmConfig,
@@ -170,3 +185,164 @@ def test_two_element_field_matches_reference():
     assert setup(config).field.q == 2
     for seed in range(5):
         assert_round_matches(config, seed)
+
+
+def reference_simplex(lp: LinearProgram) -> tuple[LpSolution, list[Fraction]]:
+    """Bland's rule on a dense Fraction tableau from the all-at-upper start.
+
+    Also returns, for each pivot, |det B| * T[p][e]: the integer pivot the
+    fraction-free tableau meets there.
+    """
+    n = lp.n_vars
+    rows = lp.rows
+    cost = list(lp.objective)
+    for j, cj in enumerate(cost):
+        if cj < 0:
+            raise Unbounded(f"objective coefficient {j} is negative")
+    r = len(rows)
+    total = n + r
+    tableau = [
+        [Fraction(-rows[i][j]) for j in range(n)]
+        + [Fraction(1 if k == i else 0) for k in range(r)]
+        for i in range(r)
+    ]
+    beta = [Fraction(sum(rows[i]) - 1) for i in range(r)]
+    if any(b < 0 for b in beta):
+        raise Infeasible("a constraint row rejects the all-ones point")
+    basis = [n + i for i in range(r)]
+    in_basis = [False] * n + [True] * r
+    at_upper = [True] * n + [False] * r
+    upper = [Fraction(1)] * n + [None] * r
+    cost_full = cost + [Fraction(0)] * r
+    det = Fraction(1)  # |det B|, starting from B = -I
+    integer_pivots = []
+    bound_flips = 0
+
+    while True:
+        cb = [cost_full[basis[i]] for i in range(r)]
+        entering = -1
+        for j in range(total):
+            if in_basis[j]:
+                continue
+            zj = cost_full[j] - sum(cb[i] * tableau[i][j] for i in range(r))
+            if (zj < 0 and not at_upper[j]) or (zj > 0 and at_upper[j]):
+                entering = j
+                break
+        if entering < 0:
+            break
+
+        increasing = not at_upper[entering]
+        col = [tableau[i][entering] for i in range(r)]
+        deltas = [-col[i] if increasing else col[i] for i in range(r)]
+        best_t = None
+        leave_pos = -1
+        leave_to_upper = False
+        for i in range(r):
+            d = deltas[i]
+            k = basis[i]
+            if d < 0:
+                t = beta[i] / (-d)
+                hits_upper = False
+            elif d > 0 and upper[k] is not None:
+                t = (upper[k] - beta[i]) / d
+                hits_upper = True
+            else:
+                continue
+            if best_t is None or t < best_t or (t == best_t and k < basis[leave_pos]):
+                best_t, leave_pos, leave_to_upper = t, i, hits_upper
+
+        span = upper[entering]
+        if best_t is None and span is None:
+            raise Unbounded("no constraint limits the improving direction")
+        if span is not None and (best_t is None or span < best_t):
+            for i in range(r):
+                beta[i] += deltas[i] * span
+            at_upper[entering] = not at_upper[entering]
+            bound_flips += 1
+            continue
+
+        t = best_t
+        for i in range(r):
+            beta[i] += deltas[i] * t
+        leaving = basis[leave_pos]
+        in_basis[leaving] = False
+        at_upper[leaving] = leave_to_upper
+        in_basis[entering] = True
+        basis[leave_pos] = entering
+        beta[leave_pos] = Fraction(0) + t if increasing else upper[entering] - t
+
+        pivot = tableau[leave_pos][entering]
+        integer_pivots.append(det * pivot)
+        det *= abs(pivot)
+        tableau[leave_pos] = [e / pivot for e in tableau[leave_pos]]
+        for i in range(r):
+            if i != leave_pos and tableau[i][entering] != 0:
+                f = tableau[i][entering]
+                prow = tableau[leave_pos]
+                tableau[i] = [a - f * b for a, b in zip(tableau[i], prow)]
+
+    values = [Fraction(0)] * total
+    for j in range(total):
+        if not in_basis[j] and at_upper[j]:
+            values[j] = upper[j]
+    for i in range(r):
+        values[basis[i]] = beta[i]
+    vertex = tuple(values[:n])
+    optimum = sum((c * v for c, v in zip(lp.objective, vertex)), Fraction(0))
+    solution = LpSolution(optimum=optimum, vertex=vertex, basis=tuple(sorted(basis)),
+                          pivots=len(integer_pivots), bound_flips=bound_flips)
+    return solution, integer_pivots
+
+
+def assert_same_pivot_path(lp: LinearProgram) -> list[Fraction]:
+    expected, integer_pivots = reference_simplex(lp)
+    assert simplex_min(lp) == expected
+    # every pivot of the fraction-free tableau is a minor, hence an integer
+    assert all(a.denominator == 1 and a != 0 for a in integer_pivots)
+    return integer_pivots
+
+
+@st.composite
+def covering_lps(draw):
+    n = draw(st.integers(1, 8))
+    rows = draw(st.lists(
+        st.integers(1, 2**n - 1).map(lambda b: tuple((b >> j) & 1 for j in range(n))),
+        max_size=30))
+    objective = draw(st.lists(st.builds(Fraction, st.integers(0, 12), st.integers(1, 6)),
+                              min_size=n, max_size=n))
+    return LinearProgram(n_vars=n, rows=tuple(rows), objective=tuple(objective))
+
+
+@settings(max_examples=200, deadline=None)
+@given(covering_lps())
+@example(LinearProgram(n_vars=3, rows=(), objective=(Fraction(1, 2), Fraction(0), Fraction(5, 6))))
+def test_simplex_matches_fraction_reference(lp):
+    assert_same_pivot_path(lp)
+
+
+def test_simplex_matches_fraction_reference_on_example_patterns():
+    # the covering rows depend on x + t only, so equal programs are solved once
+    lps = {build_capacity_lp(p, x, t)
+           for p in (GRAPH_SIX, GRAPH_FOURTEEN, UNEVEN_SEVEN, UNEVEN_NINE)
+           for x, t in itertools.product(range(max(p.replication_factors)), repeat=2)
+           if min_replication_slack(p, x, t) > 0}
+    assert len(lps) == 14
+    for lp in lps:
+        assert_same_pivot_path(lp)
+
+
+def test_simplex_matches_fraction_reference_on_larger_programs():
+    rng = random.Random(7707)
+    integer_pivots = []
+    solved = 0
+    while solved < 20:
+        x, t = rng.randint(0, 2), rng.randint(0, 2)
+        lp = build_capacity_lp(random_pattern(rng, n_max=8, m_max=4, x=x, t=t, max_rows=110),
+                               x, t)
+        if len(lp.rows) < 50:
+            continue
+        integer_pivots += assert_same_pivot_path(lp)
+        solved += 1
+    # the exact division (|a| > 1 leaves D > 1) and the negation (a < 0) both run
+    assert any(abs(a) > 1 for a in integer_pivots)
+    assert any(a < 0 for a in integer_pivots)
