@@ -4,10 +4,15 @@ Two inspection depths are offered.  Rank certificates are the fast
 path: a colluding subset learns nothing about set m exactly when it
 holds at most x_m shares of it and the noise coefficients seen by those
 servers have full row rank (and analogously for query coefficients with
-t_m).  The exhaustive audit is the slow ground truth: it enumerates
-every realization of messages and noise over a tiny field and verifies
-that the joint count table of (observed symbols, secrets) factorizes
-exactly, i.e. each observation is seen equally often with every secret.
+t_m).  A verdict depends only on the side, the set and the servers of
+its group the subset holds, so every sweep first collects its distinct
+such jobs, ranks the noise matrices of equally shaped jobs in batches
+(one ``ff.rank_mod`` call per bounded stack), and then reports the
+violations in sweep order.  The exhaustive audit is the slow ground
+truth: it enumerates every realization of messages and noise over a
+tiny field, in blocks of int64 assignments, and verifies that the joint
+count table of (observed symbols, secrets) factorizes exactly, i.e.
+each observation is seen equally often with every secret.
 """
 
 from __future__ import annotations
@@ -17,14 +22,18 @@ import random
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
+
 from .augment import AugmentedSystem
 from .errors import DimensionMismatch, ScaleExceeded
-from .ff import rank_mod
+from .ff import pivot_columns, rank_mod
 from .scheme import AsymmConfig, SchemeParams, virtual_config
 
 _EXHAUSTIVE_CELL_CAP = 10**7
 _EXHAUSTIVE_SUBSET_CAP = 5000
 _SAMPLE_SIZE = 500
+_RANK_BLOCK = 1 << 13    # matrix entries in one stacked rank call
+_CELL_BLOCK = 1 << 12    # assignments enumerated at a time
 
 
 @dataclass(frozen=True)
@@ -73,13 +82,20 @@ class _Side:
     def threshold(self, config: AsymmConfig, m: int) -> int:
         return (config.x_vec if self.name == "storage" else config.t_vec)[m - 1]
 
-    def noise_rows(self, params: SchemeParams, a: int, depth: int) -> list[list[int]]:
-        """One row for storage (every slot alike), one per slot for queries."""
+    def slots(self, params: SchemeParams) -> int:
+        """Noise rows per server: one for storage (every slot alike), one per slot for queries."""
+        return 1 if self.name == "storage" else params.l_value
+
+    def noise(self, params: SchemeParams, points: np.ndarray, depth: int) -> np.ndarray:
+        """Noise coefficients of servers at the given points, of shape
+        points.shape + (slots, depth)."""
         q = params.field.q
-        powers = [pow(a, d, q) for d in range(depth)]
+        powers = np.ones(points.shape + (1, depth), dtype=np.int64)
+        for d in range(1, depth):
+            powers[..., d] = powers[..., d - 1] * points[..., None] % q
         if self.name == "storage":
-            return [powers]
-        return [[(a - f_l) * p % q for p in powers] for f_l in params.f.tolist()]
+            return powers
+        return ((points[..., None] - params.f) % q)[..., None] * powers % q
 
     def secret(self, params: SchemeParams, a: int, m: int, l: int) -> int:
         q = params.field.q
@@ -95,33 +111,50 @@ _SIDES = {side.name: side for side in (
           "privacy: not applicable (t=0)"),
 )}
 
+_Job = tuple[str, int, tuple[int, ...]]  # (side, set m, the servers of m's group held)
 
-def _violation(config: AsymmConfig, params: SchemeParams,
-               subset: tuple[int, ...], m: int, side: str) -> str | None:
-    """None if the subset learns nothing about set m on the given side."""
-    hit = sorted(set(subset) & set(params.group_of(m)))
-    s = len(hit)
-    if s == 0:
-        return None
-    spec = _SIDES[side]
-    depth = spec.threshold(config, m)
-    if s > depth:
-        return f"{s} colluders in the group exceed the threshold {depth}"
+
+def _verdicts(config: AsymmConfig, params: SchemeParams, jobs: list[_Job]) -> list[str | None]:
+    """Per job, None if its servers learn nothing about set m on its side,
+    else why not.  The noise matrices of equally shaped jobs are ranked
+    together, in stacks of at most _RANK_BLOCK entries."""
+    details: list[str | None] = [None] * len(jobs)
+    shapes: dict[tuple[str, int, int], list[int]] = {}
+    for i, (side, m, hit) in enumerate(jobs):
+        s, depth = len(hit), _SIDES[side].threshold(config, m)
+        if s > depth:
+            details[i] = f"{s} colluders in the group exceed the threshold {depth}"
+        elif s:
+            shapes.setdefault((side, s, depth), []).append(i)
     q = params.field.q
-    per_server = [spec.noise_rows(params, int(params.alpha[n - 1]), depth) for n in hit]
-    for l, rows in enumerate(zip(*per_server), start=1):
-        rank = rank_mod(list(rows), q)
-        if rank != s:
-            return f"{side} noise covers rank {rank} of {s} {spec.shortfall.format(l=l)}"
-    return None
+    for (side, s, depth), positions in shapes.items():
+        spec = _SIDES[side]
+        step = max(1, _RANK_BLOCK // (spec.slots(params) * s * depth))
+        for start in range(0, len(positions), step):
+            block = positions[start:start + step]
+            points = params.alpha[np.array([jobs[i][2] for i in block]) - 1]
+            stack = spec.noise(params, points, depth).transpose(0, 2, 1, 3)
+            ranks = rank_mod(stack.reshape(-1, s, depth), q).reshape(len(block), -1)
+            for j in np.flatnonzero((ranks != s).any(axis=1)):
+                l = int(np.argmax(ranks[j] != s)) + 1
+                details[block[j]] = (f"{side} noise covers rank {ranks[j, l - 1]} of {s} "
+                                     f"{spec.shortfall.format(l=l)}")
+    return details
+
+
+def _check_servers(subset: tuple[int, ...], n_servers: int) -> None:
+    bad = [n for n in subset if not 1 <= n <= n_servers]
+    if bad:
+        raise DimensionMismatch(f"no servers {bad}: server ids run from 1 to {n_servers}")
 
 
 def _certificate(config: AsymmConfig, params: SchemeParams,
                  subset: tuple[int, ...], side: str) -> bool:
-    return all(
-        _violation(config, params, tuple(subset), m, side) is None
-        for m in range(1, config.m_count + 1)
-    )
+    _check_servers(subset, config.n_servers)
+    held = set(subset)
+    jobs = [(side, m, tuple(sorted(held.intersection(group))))
+            for m, group in enumerate(params.groups, start=1)]
+    return not any(_verdicts(config, params, jobs))
 
 
 def security_rank_certificate(config: AsymmConfig, params: SchemeParams,
@@ -163,48 +196,95 @@ def _independence_side(config: AsymmConfig, params: SchemeParams,
                     noise_index[(m, d, l, k)] = len(noise_index)
 
     n_secret = len(secret_index)
-    n_noise = len(noise_index)
-    cells = q ** (n_secret + n_noise)
+    n_vars = n_secret + len(noise_index)
+    cells = q ** n_vars
     if cells > max_cells:
         raise ScaleExceeded(
             f"{side} side needs {cells} joint realizations (cap {max_cells})"
         )
 
-    # observed symbol = sum of coeff * variable, variables indexed into
-    # the flat assignment (secrets first, then noise)
-    forms: list[list[tuple[int, int]]] = []
+    # one row per observed symbol: its coefficients on the variables of
+    # an assignment (secrets first, then noise)
+    forms: list[np.ndarray] = []
     for n in sorted(subset):
         a_n = int(params.alpha[n - 1])
         for m in range(1, config.m_count + 1):
             if n not in config.pattern.servers_of(m):
                 continue
-            rows = spec.noise_rows(params, a_n, spec.threshold(config, m))
+            rows = spec.noise(params, np.array(a_n), spec.threshold(config, m))
             for l in range(1, l_value + 1):
                 secret_coeff = spec.secret(params, a_n, m, l)
                 noise_coeffs = rows[min(l, len(rows)) - 1]  # storage: one row for all slots
                 for k in range(1, config.pattern.count_of(m) + 1):
-                    term = [(secret_index[(m, k, l)], secret_coeff)]
+                    form = np.zeros(n_vars, dtype=np.int64)
+                    form[secret_index[(m, k, l)]] = secret_coeff
                     for d, c in enumerate(noise_coeffs, start=1):
-                        term.append((n_secret + noise_index[(m, d, l, k)], c))
-                    forms.append(term)
+                        form[n_secret + noise_index[(m, d, l, k)]] = c
+                    forms.append(form)
+    failure = _uneven_observation(np.array(forms, dtype=np.int64).reshape(-1, n_vars),
+                                  n_secret, q)
+    if failure is None:
+        return cells, None
+    observed, what = failure
+    return cells, f"{side}: observation {observed} {what}"
 
-    counts: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for assignment in itertools.product(range(q), repeat=n_secret + n_noise):
-        observed = tuple(
-            sum(c * assignment[idx] for idx, c in term) % q for term in forms
-        )
-        secrets = assignment[:n_secret]
-        counts.setdefault(observed, {})
-        counts[observed][secrets] = counts[observed].get(secrets, 0) + 1
 
-    n_secret_states = q ** n_secret
-    for observed, per_secret in counts.items():
-        if len(per_secret) != n_secret_states:
-            return cells, f"{side}: observation {observed} misses some secrets"
-        reference = next(iter(per_secret.values()))
-        if any(c != reference for c in per_secret.values()):
-            return cells, f"{side}: observation {observed} has uneven counts"
-    return cells, None
+def _uneven_observation(forms: np.ndarray, n_secret: int,
+                        q: int) -> tuple[tuple[int, ...], str] | None:
+    """The first observation, in enumeration order, not seen equally often
+    with every secret, and what is wrong with it; None if there is none.
+
+    Assignments are numbered in itertools.product order (the last
+    variable runs fastest, the secrets lead) and enumerated in blocks of
+    _CELL_BLOCK.  An observation is keyed by its values on a basis of
+    the forms' rows, an (observation, secret) pair by the secret and the
+    values on the rows that extend the secrets to a basis; the basis
+    values fix all others, so every key is below q**n_vars and each
+    count table holds one entry per value that can occur.
+    """
+    n_vars = forms.shape[1]
+    cells = q ** n_vars
+    secret_states = q ** n_secret
+    noise_states = cells // secret_states
+    digit = q ** np.arange(n_vars - 1, -1, -1, dtype=np.int64)
+    obs_rows = pivot_columns(forms.T, q)
+    secrets = np.eye(n_vars, n_secret, dtype=np.int64)
+    pair_rows = [r - n_secret for r in pivot_columns(np.hstack([secrets, forms.T]), q)[n_secret:]]
+    obs_weight = q ** np.arange(len(obs_rows), dtype=np.int64)
+    pair_weight = secret_states * q ** np.arange(len(pair_rows), dtype=np.int64)
+
+    pair_count = np.zeros(secret_states * q ** len(pair_rows), dtype=np.int64)
+    obs_of_pair = np.zeros_like(pair_count)
+    first = np.full(q ** len(obs_rows), cells, dtype=np.int64)  # first assignment seen
+    for start in range(0, cells, _CELL_BLOCK):
+        index = np.arange(start, min(start + _CELL_BLOCK, cells), dtype=np.int64)
+        observed = np.zeros((len(index), len(forms)), dtype=np.int64)
+        for j, place in enumerate(digit):
+            observed += (index // place % q)[:, None] * forms[:, j]
+            observed %= q
+        obs_key = observed[:, obs_rows] @ obs_weight
+        pair_key = index // noise_states + observed[:, pair_rows] @ pair_weight
+        keys, counts = np.unique(pair_key, return_counts=True)
+        pair_count[keys] += counts
+        obs_of_pair[pair_key] = obs_key
+        keys, at = np.unique(obs_key, return_index=True)
+        first[keys] = np.minimum(first[keys], start + at)
+
+    seen = pair_count > 0
+    owner, counts = obs_of_pair[seen], pair_count[seen]
+    secrets_seen = np.bincount(owner, minlength=len(first))
+    low = np.full(len(first), cells, dtype=np.int64)
+    high = np.zeros(len(first), dtype=np.int64)
+    np.minimum.at(low, owner, counts)
+    np.maximum.at(high, owner, counts)
+    misses = secrets_seen != secret_states
+    bad = np.flatnonzero((first < cells) & (misses | (low != high)))
+    if not bad.size:
+        return None
+    key = bad[np.argmin(first[bad])]
+    observed = first[key] // digit % q @ forms.T % q
+    what = "misses some secrets" if misses[key] else "has uneven counts"
+    return tuple(int(v) for v in observed), what
 
 
 def exhaustive_independence_audit(config: AsymmConfig, params: SchemeParams,
@@ -217,6 +297,7 @@ def exhaustive_independence_audit(config: AsymmConfig, params: SchemeParams,
     """
     if side not in ("storage", "query", "both"):
         raise ValueError(f"unknown side {side!r}")
+    _check_servers(subset, config.n_servers)
     subset = tuple(sorted(set(subset)))
     violations: list[Violation] = []
     notes: list[str] = []
@@ -234,7 +315,8 @@ def asymm_scheme_audit(config: AsymmConfig, params: SchemeParams) -> AuditReport
 
     For every set m and each side, every subset of its own replication
     group up to the side's threshold (x_m or t_m) is checked against that
-    side's certificate; smaller subsets see submatrices of these.
+    side's certificate; smaller subsets see submatrices of these.  The
+    subsets of one set and side are ranked in batches.
     """
     violations: list[Violation] = []
     notes: list[str] = []
@@ -245,12 +327,12 @@ def asymm_scheme_audit(config: AsymmConfig, params: SchemeParams) -> AuditReport
             depth = spec.threshold(config, m)
             if depth == 0:
                 notes.append(f"set {m}: {spec.sweep_note}")
-            for size in range(1, depth + 1):
-                for subset in itertools.combinations(group, size):
-                    checked += 1
-                    detail = _violation(config, params, subset, m, spec.name)
-                    if detail is not None:
-                        violations.append(Violation(subset, m, f"{spec.name}: {detail}"))
+            jobs = [(spec.name, m, subset) for size in range(1, depth + 1)
+                    for subset in itertools.combinations(group, size)]
+            checked += len(jobs)
+            violations += [Violation(subset, m, f"{spec.name}: {detail}")
+                           for (_, _, subset), detail in zip(jobs, _verdicts(config, params, jobs))
+                           if detail is not None]
     return _report("rank_certificate", checked, violations, notes=tuple(notes))
 
 
@@ -263,8 +345,12 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
     exposure must stay within the inflated thresholds x*gamma_m and
     t*gamma_m; the rank certificates then run on the virtual scheme, for
     the sets holding at least one exposed copy (the others see nothing).
-    Small systems are swept exhaustively; larger ones fall back to a
-    deterministic sample and say so.
+    The verdict on set m depends only on which of the subset's servers
+    hold copies of m, so each distinct (side, m, holders) job is ranked
+    once, in batches, and the subsets are walked for the report only
+    where a job failed.  Small systems are swept exhaustively (every
+    subset of up to the threshold holders of each set is a job); larger
+    ones fall back to a deterministic sample and say so.
     """
     config = virtual_config(a)
     if params.groups != tuple(config.pattern.servers_of(m + 1)
@@ -286,24 +372,43 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
             size = rng.randint(1, limit)
             yield tuple(sorted(rng.sample(range(1, n + 1), size)))
 
-    # touched[o]: the sets holding at least one virtual copy of server o
-    touched = [{m for m, slots in enumerate(a.delta, start=1) if dict(slots).get(o)}
+    # copies[m][o]: the virtual copies of original server o in set m's group
+    copies: dict[int, dict[int, list[int]]] = {m: {} for m in range(1, config.m_count + 1)}
+    for m, group in enumerate(a.r_bar, start=1):
+        for vs in group:
+            copies[m].setdefault(vs[0], []).append(a.flat_id(vs))
+    touched = [[m for m in range(1, config.m_count + 1) if o in copies[m]]
                for o in range(n + 1)]
 
-    violations: list[Violation] = []
+    def holders(originals: tuple[int, ...]):
+        """(m, the originals holding copies of m) for each set the subset touches."""
+        for m in sorted(set().union(*(touched[o] for o in originals))):
+            yield m, tuple(o for o in originals if o in copies[m])
+
+    sweeps: list[tuple[str, list[tuple[int, ...]]]] = []
+    keys: dict[tuple[str, int, tuple[int, ...]], None] = {}  # (side, m, holders)
     notes: list[str] = []
-    checked = 0
     for spec, limit in zip(_SIDES.values(), (x, t)):
         if limit == 0:
             notes.append(spec.merged_note)
             continue
-        for originals in original_subsets(limit):
-            checked += 1
-            virtual_subset = a.exposed(originals)
-            for m in sorted(set().union(*(touched[o] for o in originals))):
-                detail = _violation(config, params, virtual_subset, m, spec.name)
-                if detail is not None:
-                    violations.append(Violation(originals, m, f"{spec.name}: {detail}"))
-    return _report(
-        "rank_certificate", checked, violations, sampled=sampled, notes=tuple(notes)
-    )
+        subsets = list(original_subsets(limit))
+        sweeps.append((spec.name, subsets))
+        if sampled:
+            keys.update(dict.fromkeys((spec.name, m, held) for originals in subsets
+                                      for m, held in holders(originals)))
+        else:
+            keys.update(dict.fromkeys(
+                (spec.name, m, held) for m in range(1, config.m_count + 1)
+                for size in range(1, limit + 1)
+                for held in itertools.combinations(sorted(copies[m]), size)))
+    jobs = [(side, m, tuple(sorted(v for o in held for v in copies[m][o])))
+            for side, m, held in keys]
+    verdict = dict(zip(keys, _verdicts(config, params, jobs)))
+    failing = {side for (side, _, _), detail in verdict.items() if detail is not None}
+    violations = [Violation(originals, m, f"{side}: {verdict[side, m, held]}")
+                  for side, subsets in sweeps if side in failing
+                  for originals in subsets for m, held in holders(originals)
+                  if verdict[side, m, held] is not None]
+    return _report("rank_certificate", sum(len(s) for _, s in sweeps), violations,
+                   sampled=sampled, notes=tuple(notes))

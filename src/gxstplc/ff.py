@@ -2,14 +2,19 @@
 
 Everything here is deterministic and exact: elements are residues mod a
 prime q and inverses come from Fermat's little theorem.  Field linear
-algebra works on matrices written as integer rows mod q, through one
-eliminator (``_eliminate``, always the first nonzero pivot in row
-order) behind ``rank_mod`` and ``solve_mod``.
+algebra works on int64 residue arrays through one fraction-free
+Gauss-Jordan eliminator (``_eliminate``) over stacks of matrices of
+shape (B, r, c): each matrix takes its own pivots, so ``rank_mod``
+ranks a whole stack in one call (the audits batch their rank
+certificates this way, over distinct jobs), while ``solve_mod`` and
+``pivot_columns`` run on the same kernel with a stack of one.
 """
 
 from __future__ import annotations
 
 from typing import Iterator
+
+import numpy as np
 
 from .errors import DimensionMismatch, FieldMismatch, SingularMatrix
 
@@ -177,51 +182,79 @@ class FieldElement:
         return f"{self.value}"
 
 
-def _eliminate(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
-    """Row echelon form over F_q; returns (rows, pivot column list).
+def _residues(rows, q: int) -> np.ndarray:
+    """A fresh int64 array of the entries reduced mod q."""
+    try:
+        return np.asarray(rows, dtype=np.int64) % q
+    except ValueError as exc:  # ragged rows
+        raise DimensionMismatch(f"rows of unequal length: {exc}") from None
 
-    Pivot choice is always the first row (top to bottom) with a nonzero
-    entry in the current column, so the result is deterministic.
+
+def _eliminate(a: np.ndarray, q: int, n_cols: int) -> np.ndarray:
+    """Gauss-Jordan elimination over F_q, in place, on a stack (B, r, c).
+
+    Each matrix takes as pivot, column by column through the first
+    n_cols, its first unused row with a nonzero entry there; every other
+    row i is updated fraction-free, row_i * p - row_i[col] * pivot, so no
+    inverse is taken.  Entries stay below q < 2**31 and every product
+    below 2**62.  Rows stay in place, so a pivot column ends with one
+    nonzero entry, in its pivot row.  Returns which columns took a pivot,
+    a (B, n_cols) bool array whose row sums are the ranks.
     """
-    n_rows = len(rows)
-    n_cols = len(rows[0]) if n_rows else 0
-    pivots = []
-    r = 0
+    b, r, _ = a.shape
+    at = np.arange(b)
+    used = np.zeros((b, r), dtype=bool)
+    pivoted = np.zeros((b, n_cols), dtype=bool)
     for col in range(n_cols):
-        piv = None
-        for i in range(r, n_rows):
-            if rows[i][col] % q != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], q - 2, q)
-        rows[r] = [(e * inv) % q for e in rows[r]]
-        for i in range(n_rows):
-            if i != r and rows[i][col] % q != 0:
-                factor = rows[i][col]
-                rows[i] = [(a - factor * b) % q for a, b in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == n_rows:
+        if used.all():  # every row holds a pivot (or there are none)
             break
-    return rows, pivots
+        candidates = (a[:, :, col] != 0) & ~used
+        found = candidates.any(axis=1)
+        p = candidates.argmax(axis=1)
+        pivot = a[at, p]
+        factor = a[:, :, col] * found[:, None]  # matrices without a pivot stay as they are
+        factor[at, p] = 0
+        a *= np.where(found, pivot[:, col], 1)[:, None, None]
+        a -= factor[:, :, None] * pivot[:, None, :]
+        a %= q
+        used[at, p] |= found
+        pivoted[:, col] = found
+    return pivoted
 
 
-def rank_mod(rows: list[list[int]], q: int) -> int:
-    """Rank over F_q of a matrix given as integer rows (the rows are consumed)."""
-    return len(_eliminate(rows, q)[1]) if rows else 0
+def rank_mod(rows, q: int):
+    """Rank over F_q of a matrix of integer rows, as an int; given a stack
+    of shape (B, r, c), the rank of each matrix, as an int64 array (the
+    convention of np.linalg.matrix_rank).  The input is not modified."""
+    a = _residues(rows, q)
+    if a.ndim == 3:
+        return _eliminate(a, q, a.shape[2]).sum(axis=1, dtype=np.int64)
+    if a.ndim == 2:
+        return int(_eliminate(a[None], q, a.shape[1]).sum())
+    if a.size == 0:
+        return 0
+    raise DimensionMismatch(f"need a matrix or a stack of matrices, got shape {a.shape}")
 
 
-def solve_mod(rows: list[list[int]], q: int) -> list[int]:
+def pivot_columns(rows, q: int) -> list[int]:
+    """The pivot columns of a matrix over F_q: the greedy basis of its
+    columns, each independent of those before it."""
+    a = _residues(rows, q)[None]
+    return np.flatnonzero(_eliminate(a, q, a.shape[2])[0]).tolist()
+
+
+def solve_mod(rows, q: int) -> list[int]:
     """Solve a square system over F_q given as augmented integer rows
-    [A | b] (the rows are consumed); raises SingularMatrix unless A is
+    [A | b] (the input is not modified); raises SingularMatrix unless A is
     invertible and DimensionMismatch unless it gets n rows of n + 1 entries."""
     n = len(rows)
     if any(len(row) != n + 1 for row in rows):
         raise DimensionMismatch(f"a square system of {n} rows needs {n + 1} entries a row")
-    rows, pivots = _eliminate(rows, q)
-    if pivots != list(range(n)):
+    a = _residues(rows, q).reshape(1, n, n + 1)
+    if not _eliminate(a, q, n).all():
         raise SingularMatrix("coefficient matrix is singular")
-    return [row[n] for row in rows]
+    # A is now a scaled permutation: unknown j sits alone in its pivot row
+    coeffs, rhs = a[0, :, :n], a[0, :, n]
+    row = (coeffs != 0).argmax(axis=0)
+    return [int(b) * pow(int(d), q - 2, q) % q
+            for b, d in zip(rhs[row], coeffs[row, np.arange(n)])]

@@ -56,6 +56,14 @@ class TestCertificates:
         assert security_rank_certificate(self.config, self.params, (1, 9))
         assert privacy_rank_certificate(self.config, self.params, (1, 9))
 
+    @pytest.mark.parametrize("subset", [(0,), (-1,), (10,), (1, 10)])
+    def test_unknown_servers_rejected(self, subset):
+        # ids outside 1..N once passed, vacuously or through alpha[-1]
+        with pytest.raises(DimensionMismatch):
+            security_rank_certificate(self.config, self.params, subset)
+        with pytest.raises(DimensionMismatch):
+            privacy_rank_certificate(self.config, self.params, subset)
+
 
 class TestSchemeAudit:
     def test_uneven_nine_passes(self):
@@ -147,6 +155,14 @@ class TestExhaustive:
         params = setup(config)
         with pytest.raises(ScaleExceeded):
             exhaustive_independence_audit(config, params, (1,))
+
+    @pytest.mark.parametrize("subset", [(0,), (-1,), (4,), (2, 4)])
+    def test_unknown_servers_rejected(self, subset):
+        # (0,) audited nothing, (-1,) audited alpha[-1], (4,) raised IndexError
+        config = AsymmConfig(TRIPLE, (1,), (1,), l_value=1)
+        params = setup(config, field_override=5)
+        with pytest.raises(DimensionMismatch):
+            exhaustive_independence_audit(config, params, subset)
 
     def test_unknown_side_rejected(self):
         config = AsymmConfig(PAIR, (1,), (0,))

@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from gxstplc.errors import DimensionMismatch, FieldMismatch, SingularMatrix
@@ -10,6 +11,7 @@ from gxstplc.ff import (
     MAX_MODULUS,
     PrimeField,
     is_prime,
+    pivot_columns,
     rank_mod,
     smallest_prime_at_least,
     solve_mod,
@@ -142,6 +144,40 @@ class TestMatrix:
     def test_rank_sees_modular_collapse(self):
         # rows differ over the integers but coincide mod 5
         assert rank_mod([[1, 2], [6, 7]], 5) == 1
+
+    def test_rank_of_a_stack(self):
+        # like np.linalg.matrix_rank: one rank per matrix, as an array
+        stack = np.array([[[1, 2], [2, 4]], [[1, 0], [0, 1]], [[0, 0], [0, 0]]])
+        ranks = rank_mod(stack, 7)
+        assert ranks.dtype == np.int64
+        assert ranks.tolist() == [1, 2, 0]
+        assert rank_mod(np.zeros((4, 0, 3), dtype=np.int64), 7).tolist() == [0] * 4
+        assert rank_mod([], 7) == 0
+
+    def test_entries_near_the_largest_modulus(self):
+        q = 2**31 - 1  # products of two residues come within a factor 2 of 2**63
+        assert rank_mod([[q - 1, q - 2], [q - 2, q - 1]], q) == 2
+        assert rank_mod([[q - 1, q - 1], [1, 1]], q) == 1
+        assert solve_mod([[q - 1, 0, q - 1], [0, q - 2, 2]], q) == [1, q - 1]
+
+    def test_inputs_are_not_consumed(self):
+        rows = [[2, 1, 3], [1, 3, 4]]
+        array = np.array(rows)
+        assert solve_mod(rows, 7) == [1, 1] and rows == [[2, 1, 3], [1, 3, 4]]
+        assert rank_mod(rows, 7) == 2 and rows == [[2, 1, 3], [1, 3, 4]]
+        assert rank_mod(array[None], 7).tolist() == [2]
+        assert array.tolist() == rows
+
+    def test_ragged_rows_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            rank_mod([[1, 2], [3]], 7)
+        with pytest.raises(DimensionMismatch):
+            rank_mod([1, 2, 3], 7)
+
+    def test_pivot_columns_are_the_greedy_basis(self):
+        # column 1 doubles column 0 and column 3 sums columns 0 and 2
+        assert pivot_columns([[1, 2, 0, 1], [0, 0, 1, 1]], 5) == [0, 2]
+        assert pivot_columns([[0, 0], [0, 0]], 5) == []
 
     def test_solve_singular(self):
         with pytest.raises(SingularMatrix):

@@ -60,7 +60,7 @@ def test_negative_power_raises_under_optimization():
 
 
 @pytest.mark.parametrize("pattern", ["six_server", "fourteen_server"])
-@pytest.mark.parametrize("command", [["capacity"], ["simulate", "--seed", "0"]])
+@pytest.mark.parametrize("command", [["capacity"], ["simulate", "--seed", "0"], ["audit"]])
 def test_cli_stdout_is_the_same_under_optimization(pattern, command):
     argv = ["-m", "gxstplc", command[0], "--pattern",
             str(ROOT / "demos" / "patterns" / f"{pattern}.json"), "--x", "1", "--t", "1",

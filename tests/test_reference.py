@@ -11,12 +11,21 @@ The dense Fraction-tableau simplex checks the fraction-free tableau of
 gxstplc.exactlp.simplex_min: both take the same Bland pivots, so they
 must return the same optimum, vertex, basis and pivot and bound-flip
 counts.
+
+A list-of-lists eliminator (normalized pivots, one matrix at a time)
+checks the stacked int64 kernel behind gxstplc.ff.rank_mod and
+solve_mod.  On top of it, the audits written one subset and one set at
+a time (the rank certificate per subset, the exhaustive enumeration by
+itertools.product into a dict of counts) check the batched sweeps and
+the blocked enumeration of gxstplc.audit: every report must be equal,
+counts, violations in order with their details, and notes.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 import numpy as np
 import pytest
@@ -24,11 +33,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_config, random_pattern
-from gxstplc.capacity import build_capacity_lp
+from gxstplc.audit import (
+    AuditReport,
+    Violation,
+    asymm_scheme_audit,
+    exhaustive_independence_audit,
+    merged_scheme_audit,
+    privacy_rank_certificate,
+    security_rank_certificate,
+)
+from gxstplc.augment import generate_augmented_system
+from gxstplc.capacity import asymptotic_capacity, build_capacity_lp
 from gxstplc.demos import GRAPH_FOURTEEN, GRAPH_SIX, UNEVEN_NINE, UNEVEN_SEVEN
-from gxstplc.errors import Infeasible, Unbounded
+from gxstplc.errors import Infeasible, SingularMatrix, Unbounded
 from gxstplc.exactlp import LinearProgram, LpSolution, simplex_min
-from gxstplc.ff import solve_mod
+from gxstplc.ff import rank_mod, solve_mod
 from gxstplc.pattern import min_replication_slack
 from gxstplc.pattern import MessageSet, StoragePattern
 from gxstplc.scheme import (
@@ -42,6 +61,7 @@ from gxstplc.scheme import (
     reconstruct,
     setup,
     simulate,
+    virtual_config,
 )
 
 
@@ -346,3 +366,420 @@ def test_simplex_matches_fraction_reference_on_larger_programs():
     # the exact division (|a| > 1 leaves D > 1) and the negation (a < 0) both run
     assert any(abs(a) > 1 for a in integer_pivots)
     assert any(a < 0 for a in integer_pivots)
+
+
+# -- field linear algebra ----------------------------------------------------
+
+def reference_eliminate(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form over F_q of a copy of the rows, and its pivot columns."""
+    rows = [[e % q for e in row] for row in rows]
+    n_rows = len(rows)
+    n_cols = len(rows[0]) if n_rows else 0
+    pivots = []
+    r = 0
+    for col in range(n_cols):
+        piv = next((i for i in range(r, n_rows) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][col], q - 2, q)
+        rows[r] = [(e * inv) % q for e in rows[r]]
+        for i in range(n_rows):
+            if i != r and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [(a - factor * b) % q for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == n_rows:
+            break
+    return rows, pivots
+
+
+def reference_rank(rows: list[list[int]], q: int) -> int:
+    return len(reference_eliminate(rows, q)[1])
+
+
+def reference_solve(rows: list[list[int]], q: int) -> list[int]:
+    n = len(rows)
+    rows, pivots = reference_eliminate(rows, q)
+    if pivots != list(range(n)):
+        raise SingularMatrix("coefficient matrix is singular")
+    return [row[n] for row in rows]
+
+
+PRIMES = (2, 3, 5, 7, 2**31 - 1)
+
+
+@st.composite
+def residue_stacks(draw):
+    """(q, stack): up to five matrices of one shape, entries often at or near q."""
+    q = draw(st.sampled_from(PRIMES))
+    b, r, c = draw(st.integers(1, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    entry = st.one_of(st.integers(0, q - 1), st.sampled_from([0, 1, q - 2, q - 1]),
+                      st.integers(-q, 2 * q))
+    stack = draw(st.lists(st.lists(st.lists(entry, min_size=c, max_size=c),
+                                   min_size=r, max_size=r), min_size=b, max_size=b))
+    return q, stack
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_stacks())
+def test_rank_mod_matches_list_eliminator(case):
+    q, stack = case
+    expected = [reference_rank(matrix, q) for matrix in stack]
+    if len(stack[0]) and len(stack[0][0]):
+        array = np.array(stack, dtype=np.int64)
+        before = array.copy()
+        assert rank_mod(array, q).tolist() == expected
+        assert np.array_equal(array, before)  # the input is left alone
+    for matrix, rank in zip(stack, expected):
+        copy = [list(row) for row in matrix]
+        assert rank_mod(matrix, q) == rank
+        assert matrix == copy
+
+
+@st.composite
+def square_systems(draw):
+    q = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.integers(0, q - 1), st.sampled_from([0, 1, q - 1]))
+    return q, draw(st.lists(st.lists(entry, min_size=n + 1, max_size=n + 1),
+                            min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_systems())
+def test_solve_mod_matches_list_eliminator(case):
+    q, rows = case
+    copy = [list(row) for row in rows]
+    try:
+        expected = reference_solve(rows, q)
+    except SingularMatrix:
+        with pytest.raises(SingularMatrix):
+            solve_mod(rows, q)
+    else:
+        assert solve_mod(rows, q) == expected
+    assert rows == copy
+
+
+def test_solve_mod_at_decode_size():
+    # reconstruct's L x L system at L = 68 over the largest supported prime
+    q = 2**31 - 1
+    rng = random.Random(68)
+    rows = [[rng.choice([q - 1, rng.randrange(q)]) for _ in range(69)] for _ in range(68)]
+    assert solve_mod(rows, q) == reference_solve(rows, q)
+
+
+# -- audits --------------------------------------------------------------------
+
+SHORTFALL = {"storage": "observed shares", "query": "at slot {l}"}
+SWEEP_NOTE = {"storage": "storage secrecy not promised (x=0)",
+              "query": "query privacy not promised (t=0)"}
+MERGED_NOTE = {"storage": "security: no colluding sets to check (x=0)",
+               "query": "privacy: not applicable (t=0)"}
+
+
+def reference_threshold(config, m, side):
+    return (config.x_vec if side == "storage" else config.t_vec)[m - 1]
+
+
+def reference_noise_rows(params, side, a, depth):
+    q = params.field.q
+    powers = [pow(a, d, q) for d in range(depth)]
+    if side == "storage":
+        return [powers]
+    return [[(a - f_l) * p % q for p in powers] for f_l in params.f.tolist()]
+
+
+def reference_violation(config, params, subset, m, side):
+    hit = sorted(set(subset) & set(params.group_of(m)))
+    s = len(hit)
+    if s == 0:
+        return None
+    depth = reference_threshold(config, m, side)
+    if s > depth:
+        return f"{s} colluders in the group exceed the threshold {depth}"
+    per_server = [reference_noise_rows(params, side, int(params.alpha[n - 1]), depth)
+                  for n in hit]
+    for l, rows in enumerate(zip(*per_server), start=1):
+        rank = reference_rank(list(rows), params.field.q)
+        if rank != s:
+            return f"{side} noise covers rank {rank} of {s} {SHORTFALL[side].format(l=l)}"
+    return None
+
+
+def reference_report(mode, checked, violations, sampled=False, notes=()):
+    return AuditReport(mode=mode, checked_subsets=checked, violations=tuple(violations),
+                       passed=not violations, sampled=sampled, notes=tuple(notes))
+
+
+def reference_asymm_audit(config, params):
+    violations, notes, checked = [], [], 0
+    for m in range(1, config.m_count + 1):
+        for side in ("storage", "query"):
+            depth = reference_threshold(config, m, side)
+            if depth == 0:
+                notes.append(f"set {m}: {SWEEP_NOTE[side]}")
+            for size in range(1, depth + 1):
+                for subset in itertools.combinations(params.group_of(m), size):
+                    checked += 1
+                    detail = reference_violation(config, params, subset, m, side)
+                    if detail is not None:
+                        violations.append(Violation(subset, m, f"{side}: {detail}"))
+    return reference_report("rank_certificate", checked, violations, notes=notes)
+
+
+def reference_merged_audit(a, params, x, t):
+    config = virtual_config(a)
+    n = a.n_original
+    total = sum(comb(n, size) for size in range(1, x + 1))
+    total += sum(comb(n, size) for size in range(1, t + 1))
+    sampled = total > 5000
+
+    def original_subsets(limit):
+        if not sampled:
+            for size in range(1, limit + 1):
+                yield from itertools.combinations(range(1, n + 1), size)
+            return
+        rng = random.Random(0xA0D17)
+        for _ in range(500):
+            size = rng.randint(1, limit)
+            yield tuple(sorted(rng.sample(range(1, n + 1), size)))
+
+    touched = [{m for m, slots in enumerate(a.delta, start=1) if dict(slots).get(o)}
+               for o in range(n + 1)]
+    violations, notes, checked = [], [], 0
+    for side, limit in (("storage", x), ("query", t)):
+        if limit == 0:
+            notes.append(MERGED_NOTE[side])
+            continue
+        for originals in original_subsets(limit):
+            checked += 1
+            virtual_subset = a.exposed(originals)
+            for m in sorted(set().union(*(touched[o] for o in originals))):
+                detail = reference_violation(config, params, virtual_subset, m, side)
+                if detail is not None:
+                    violations.append(Violation(originals, m, f"{side}: {detail}"))
+    return reference_report("rank_certificate", checked, violations, sampled, notes)
+
+
+def merged_system(pattern, x, t):
+    cap = asymptotic_capacity(pattern, x, t)
+    aug = generate_augmented_system(pattern, x, t, cap)
+    return aug, setup(virtual_config(aug))
+
+
+def assert_sweeps_match(config, params):
+    assert asymm_scheme_audit(config, params) == reference_asymm_audit(config, params)
+
+
+def assert_merged_matches(aug, params, x, t):
+    report = merged_scheme_audit(aug, params, x, t)
+    assert report == reference_merged_audit(aug, params, x, t)
+    return report
+
+
+EXAMPLES = (GRAPH_SIX, GRAPH_FOURTEEN, UNEVEN_SEVEN, UNEVEN_NINE)
+
+
+def sweep_size(config):
+    return sum(comb(len(config.pattern.servers_of(m)), size)
+               for m in range(1, config.m_count + 1)
+               for depth in (config.x_vec[m - 1], config.t_vec[m - 1])
+               for size in range(1, depth + 1))
+
+
+def test_sweeps_match_reference_on_example_patterns():
+    merged = virtual = 0
+    for pattern in EXAMPLES:
+        for x, t in itertools.product(range(3), repeat=2):
+            if min_replication_slack(pattern, x, t) <= 0:
+                continue
+            config = AsymmConfig.uniform(pattern, x, t)
+            assert_sweeps_match(config, setup(config))
+            aug, params = merged_system(pattern, x, t)
+            assert_merged_matches(aug, params, x, t)
+            merged += 1
+            # the virtual sweep grows as C(|R_m|, x gamma_m); the slow side
+            # here is the reference
+            if sweep_size(virtual_config(aug)) <= 3000:
+                assert_sweeps_match(virtual_config(aug), params)
+                virtual += 1
+    assert (merged, virtual) == (28, 23)
+    for config in (AsymmConfig(UNEVEN_SEVEN, (0, 0, 0, 0), (1, 2, 1, 2)),
+                   AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2))):
+        assert_sweeps_match(config, setup(config))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32))
+def test_asymm_sweep_matches_reference_on_random_configs(seed):
+    config = random_config(random.Random(seed))
+    assert_sweeps_match(config, setup(config))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 2), st.integers(0, 2))
+def test_merged_audit_matches_reference_on_random_patterns(seed, x, t):
+    pattern = random_pattern(random.Random(seed), n_max=7, m_max=3, x=x, t=t, max_rows=40)
+    aug, params = merged_system(pattern, x, t)
+    assert_merged_matches(aug, params, x, t)
+
+
+def with_alpha(params, changes):
+    alpha = params.alpha.copy()
+    for n, value in changes.items():
+        alpha[n - 1] = value
+    return dataclasses.replace(params, alpha=alpha)
+
+
+def test_failing_sweeps_match_reference():
+    # colliding points: rank shortfalls on both sides
+    config = AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2))
+    params = setup(config)
+    colliding = with_alpha(params, {4: params.alpha[4]})
+    assert len(asymm_scheme_audit(config, colliding).violations) == 2
+    assert_sweeps_match(config, colliding)
+    # a point on an f point zeroes that server's query rows at one slot
+    on_f = with_alpha(params, {5: params.f[1]})
+    assert any("at slot 2" in v.detail for v in asymm_scheme_audit(config, on_f).violations)
+    assert_sweeps_match(config, on_f)
+
+    # lowered thresholds: every touched set fails on both sides
+    aug, params = merged_system(GRAPH_SIX, 1, 1)
+    lowered = dataclasses.replace(aug, x_bar=tuple(v - 1 for v in aug.x_bar),
+                                  t_bar=tuple(v - 1 for v in aug.t_bar))
+    assert len(assert_merged_matches(lowered, params, 1, 1).violations) == 14
+    # colliding virtual points fail by rank in the merged audit too
+    # (virtual servers 3 and 4 are the two copies of original server 3)
+    shortfall = assert_merged_matches(aug, with_alpha(params, {4: params.alpha[2]}), 1, 1)
+    assert {v.detail.split(" noise")[0] for v in shortfall.violations} == {
+        "storage: storage", "query: query"}
+    for x, t in ((1, 1), (2, 1)):
+        aug, params = merged_system(GRAPH_FOURTEEN, x, t)
+        collide = with_alpha(params, {3: params.alpha[2], 9: params.f[0]})
+        assert not assert_merged_matches(aug, collide, x, t).passed
+
+    # the sampled path reports failures in sample order
+    wide = StoragePattern(102, (MessageSet(tuple(range(1, 6))),))
+    aug, params = merged_system(wide, 2, 2)
+    lowered = dataclasses.replace(aug, x_bar=tuple(v - 1 for v in aug.x_bar),
+                                  t_bar=aug.t_bar)
+    report = assert_merged_matches(lowered, params, 2, 2)
+    assert report.sampled and not report.passed
+
+
+def test_certificates_match_reference_per_subset():
+    config = AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2))
+    params = setup(config)
+    for candidate in (params, with_alpha(params, {4: params.alpha[4], 7: params.f[0]})):
+        for size in (1, 2, 3):
+            for subset in itertools.combinations(range(1, 10), size):
+                for side, certificate in (("storage", security_rank_certificate),
+                                          ("query", privacy_rank_certificate)):
+                    expected = all(reference_violation(config, candidate, subset, m, side)
+                                   is None for m in range(1, config.m_count + 1))
+                    assert certificate(config, candidate, subset) == expected
+
+
+def reference_independence_side(config, params, subset, side):
+    """The exhaustive enumeration by itertools.product into a dict of counts."""
+    q = params.field.q
+    l_value = params.l_value
+    secret_index = {}
+    for m in range(1, config.m_count + 1):
+        for k in range(1, config.pattern.count_of(m) + 1):
+            for l in range(1, l_value + 1):
+                secret_index[(m, k, l)] = len(secret_index)
+    noise_index = {}
+    for m in range(1, config.m_count + 1):
+        for d in range(1, reference_threshold(config, m, side) + 1):
+            for l in range(1, l_value + 1):
+                for k in range(1, config.pattern.count_of(m) + 1):
+                    noise_index[(m, d, l, k)] = len(noise_index)
+    n_secret, n_noise = len(secret_index), len(noise_index)
+    forms = []
+    for n in sorted(subset):
+        a_n = int(params.alpha[n - 1])
+        for m in range(1, config.m_count + 1):
+            if n not in config.pattern.servers_of(m):
+                continue
+            rows = reference_noise_rows(params, side, a_n, reference_threshold(config, m, side))
+            for l in range(1, l_value + 1):
+                if side == "storage":
+                    secret_coeff = pow(a_n - int(params.f[l - 1]), q - 2, q)
+                else:
+                    secret_coeff = int(params.u[m - 1, l - 1])
+                noise_coeffs = rows[min(l, len(rows)) - 1]
+                for k in range(1, config.pattern.count_of(m) + 1):
+                    term = [(secret_index[(m, k, l)], secret_coeff)]
+                    for d, c in enumerate(noise_coeffs, start=1):
+                        term.append((n_secret + noise_index[(m, d, l, k)], c))
+                    forms.append(term)
+
+    counts = {}
+    for assignment in itertools.product(range(q), repeat=n_secret + n_noise):
+        observed = tuple(sum(c * assignment[idx] for idx, c in term) % q for term in forms)
+        per_secret = counts.setdefault(observed, {})
+        secrets = assignment[:n_secret]
+        per_secret[secrets] = per_secret.get(secrets, 0) + 1
+    cells = q ** (n_secret + n_noise)
+    for observed, per_secret in counts.items():
+        if len(per_secret) != q ** n_secret:
+            return cells, f"{side}: observation {observed} misses some secrets"
+        reference = next(iter(per_secret.values()))
+        if any(c != reference for c in per_secret.values()):
+            return cells, f"{side}: observation {observed} has uneven counts"
+    return cells, None
+
+
+def reference_exhaustive_audit(config, params, subset, side):
+    subset = tuple(sorted(set(subset)))
+    violations, notes = [], []
+    for s in (("storage", "query") if side == "both" else (side,)):
+        cells, detail = reference_independence_side(config, params, subset, s)
+        notes.append(f"{s}: enumerated {cells} joint realizations")
+        if detail is not None:
+            violations.append(Violation(subset=subset, message_set=None, detail=detail))
+    return reference_report("exhaustive", 1, violations, notes=notes)
+
+
+PAIR = StoragePattern(2, (MessageSet((1, 2)),))
+TRIPLE = StoragePattern(3, (MessageSet((1, 2, 3)),))
+TINY = (
+    (AsymmConfig(PAIR, (1,), (0,)), 5),
+    (AsymmConfig(PAIR, (0,), (1,)), 7),
+    (AsymmConfig(TRIPLE, (1,), (1,), l_value=1), 5),
+    (AsymmConfig(TRIPLE, (1,), (1,), l_value=1), 7),
+    (AsymmConfig(TRIPLE, (2,), (0,), l_value=1), 5),
+    (AsymmConfig(StoragePattern(3, (MessageSet((1, 2)), MessageSet((2, 3)))),
+                 (1, 0), (0, 1), l_value=1), 5),
+    (AsymmConfig(StoragePattern(4, (MessageSet((1, 2, 3)), MessageSet((2, 3, 4)))),
+                 (1, 1), (1, 1), l_value=1), 5),
+)
+
+
+def test_exhaustive_audit_matches_reference_on_tiny_systems():
+    failures = set()
+    for config, q in TINY:
+        params = setup(config, field_override=q)
+        n = config.n_servers
+        for size in range(1, n + 1):
+            for subset in itertools.combinations(range(1, n + 1), size):
+                report = exhaustive_independence_audit(config, params, subset)
+                assert report == reference_exhaustive_audit(config, params, subset, "both")
+                failures.update(v.detail.split(" ", 1)[0] for v in report.violations)
+    # over-collusion fails on both sides somewhere
+    assert failures == {"storage:", "query:"}
+
+
+def test_exhaustive_audit_matches_reference_with_moved_points():
+    # colliding points, and a point on an f point, at q = 7
+    config = AsymmConfig(TRIPLE, (2,), (0,), l_value=1)
+    params = setup(config, field_override=7)
+    for moved in (with_alpha(params, {2: params.alpha[0]}),
+                  with_alpha(params, {3: params.f[0]})):
+        for size in (1, 2, 3):
+            for subset in itertools.combinations(range(1, 4), size):
+                report = exhaustive_independence_audit(config, moved, subset)
+                assert report == reference_exhaustive_audit(config, moved, subset, "both")

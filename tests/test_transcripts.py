@@ -3,7 +3,8 @@ symbols, whatever the protocol code's internal representation.
 
 The digests are SHA-256 of the compact JSON {"answers": [...],
 "decoded": [...]} of residues, for the four built-in demos at seeds 0-2
-and for UNEVEN_NINE over the field of 2**31 - 1.
+and for UNEVEN_NINE over the field of 2**31 - 1.  The audit command's
+whole stdout is pinned the same way, whatever the audits' kernels.
 """
 
 import hashlib
@@ -11,7 +12,9 @@ import json
 
 import pytest
 
+from gxstplc.cli import main
 from gxstplc.demos import GRAPH_FOURTEEN, GRAPH_SIX, UNEVEN_NINE, UNEVEN_SEVEN
+from gxstplc.pattern import MessageSet, StoragePattern, save_pattern
 from gxstplc.scheme import AsymmConfig, simulate, simulate_merged
 
 RUNS = {
@@ -52,3 +55,27 @@ def test_transcript_digest(name, seed):
                        "decoded": [d.value for d in run.transcript.decoded]},
                       separators=(",", ":"))
     assert hashlib.sha256(blob.encode()).hexdigest() == PINNED[(name, seed)]
+
+
+AUDITS = {
+    "six": (GRAPH_SIX, ["--x", "1", "--t", "1"]),
+    "fourteen": (GRAPH_FOURTEEN, ["--x", "1", "--t", "1"]),
+    "pair-exhaustive": (StoragePattern(2, (MessageSet((1, 2)),)),
+                        ["--x", "1", "--t", "0", "--exhaustive"]),
+}
+
+PINNED_AUDITS = {
+    "six": "3b80a5e4c36b0cba9e0ed42e433335707bf9c8f814de2da634d4a1b696725ba8",
+    "fourteen": "b8cdc99154128714e156d745d066695b0c79478c6625e49803e5a09d1b41206d",
+    "pair-exhaustive": "bb6688003260e4a36fe083b6644484c8bc42ce6000218cdef576db5bce6049ac",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_AUDITS))
+def test_audit_stdout_digest(name, tmp_path, capsys):
+    pattern, args = AUDITS[name]
+    path = tmp_path / "pattern.json"
+    save_pattern(pattern, path)
+    assert main(["audit", "--pattern", str(path), *args]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_AUDITS[name]
