@@ -8,9 +8,12 @@ which is the shape download-allocation programs take.  Every vertex of
 that region lies in the unit box (a coordinate above 1 appears in no
 tight row, so the tight constraints cannot reach full rank), so the
 solver works on the region intersected with x <= 1 without changing the
-optimum.  Nothing is ever rounded: the simplex pivots an integer tableau
-M over one common positive denominator D, so that the tableau is
-T = M / D, and keeps basic values and results as fractions.Fraction.
+optimum.  Nothing is ever rounded: the simplex pivots an int64 tableau M
+over one common positive denominator D (the tableau is T = M / D) and
+keeps the basic values as integer numerators over D; only the final
+vertex becomes fractions.Fraction.  While every entry is below 2**31,
+every product is below 2**62 and every difference of two below 2**63,
+so int64 cannot overflow; past that bound the arrays hold Python ints.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ RationalVector = tuple[Fraction, ...]
 
 _ORACLE_MAX_VARS = 8
 _ORACLE_MAX_ROWS = 40
+_INT64_LIMIT = 2**31  # entries below it keep every Bareiss product within int64
 
 
 def _as_fraction(v) -> Fraction:
@@ -58,8 +62,9 @@ class LinearProgram:
         for r in rows:
             if len(r) != self.n_vars:
                 raise ValueError(f"row {r} has wrong length")
-            if any(e not in (0, 1) for e in r):
-                raise ValueError(f"row {r} is not 0/1 incidence")
+            kinds = set(map(type, r))
+            if not set(r) <= {0, 1} or not all(issubclass(k, (int, np.integer)) for k in kinds):
+                raise ValueError(f"row {r} is not 0/1 incidence over integers")
             if not any(r):
                 raise ValueError("a row with no variables cannot reach 1")
         object.__setattr__(self, "rows", rows)
@@ -97,101 +102,106 @@ def simplex_min(lp: LinearProgram) -> LpSolution:
     instead when its own box is the nearer limit.  Another solver must
     return the same vertex to keep ``tau`` and every transcript.
 
-    The tableau T = B^{-1} [A | -I] is kept fraction-free: T = M / D
-    with M integer and D = |det B| > 0.  A pivot on (p, e) with
-    a = M[p][e] maps row i != p to (M[i] a - M[i][e] M[p]) / D, an exact
-    division because every entry is a minor (Bareiss), keeps row p and
-    sets D = a; a negative a negates every row and sets D = -a.  The
-    reduced costs are one more such row, D C - C_B M for the objective C
-    scaled to integers, so pricing is a sign test.  Basic values stay
-    Fractions.
+    The tableau T = B^{-1} [A | -I] is M / D with D = |det B|, and the
+    reduced costs D C - C_B M (C the objective scaled to integers) are
+    the last row of M, so pricing is a sign test.  A pivot on (p, e),
+    a = |M[p, e]| (row p negated if needed), keeps row p and maps every
+    other row to (M[i] a - M[i, e] M[p]) // D, exact because every entry
+    is a minor (Bareiss); when a == D only rows with M[i, e] != 0 change.
+    By Cramer's rule D x_B is integral: a bound flip adds the entering
+    column to the numerators, a pivot with winning ratio P / a maps them
+    to (num a + delta P) // D, and ratios compare by cross-multiplying.
+    Before each pivot, an entry of M or num at 2**31 or above turns both
+    into Python ints (dtype object) for the rest of the solve, with the
+    same statements; an objective beyond int64 starts on Python ints.
     """
     n = lp.n_vars
-    rows = lp.rows
     for j, cj in enumerate(lp.objective):
         if cj < 0:
             # x_j can grow along its own axis without leaving the cone
             raise Unbounded(f"objective coefficient {j} is negative")
 
-    r = len(rows)
-    # the surplus start makes B = -I, hence M = [-A | I] over D = 1
-    tableau = [[-e for e in row] + [int(k == i) for k in range(r)] for i, row in enumerate(rows)]
-    denom = 1
+    r = len(lp.rows)
+    rows = np.array(lp.rows, dtype=np.int64).reshape(r, n)
     scale = lcm_of_denominators(lp.objective)
-    reduced = [int(c * scale) for c in lp.objective] + [0] * r  # surplus costs are 0
-    beta = [Fraction(sum(row) - 1) for row in rows]  # surplus at x = 1
-    if any(b < 0 for b in beta):
+    cost = [int(c * scale) for c in lp.objective]
+    # the surplus start makes B = -I, hence M = [-A | I] over D = 1; surplus costs are 0
+    tableau = np.zeros((r + 1, n + r), dtype=np.int64 if max(cost) < 2**63 else object)
+    tableau[:r, :n] = -rows
+    tableau[:r, n:] = np.eye(r, dtype=np.int64)
+    tableau[r, :n] = cost
+    num = rows.sum(axis=1).astype(tableau.dtype) - 1  # surplus at x = 1
+    if (num < 0).any():
         raise Infeasible("a constraint row rejects the all-ones point")
-    basis = [n + i for i in range(r)]
-    at_upper = [True] * n + [False] * r  # only structural variables (j < n) have x_j <= 1
-    one = Fraction(1)
-    pivots = bound_flips = 0
+    basis = np.arange(n, n + r)
+    at_upper = np.arange(n + r) < n  # only structural variables (j < n) have x_j <= 1
+    denom, pivots, bound_flips = 1, 0, 0
 
     while True:
         # basic columns have reduced cost 0 exactly, so only nonbasic ones qualify
-        entering = next((j for j, z in enumerate(reduced) if z and (z > 0) == at_upper[j]), -1)
-        if entering < 0:
+        improving = np.flatnonzero(np.where(at_upper, tableau[r] > 0, tableau[r] < 0))
+        if not improving.size:
             break
+        entering = int(improving[0])
 
         increasing = not at_upper[entering]
         # per unit step of the entering variable, basic i moves by deltas[i] / D
-        deltas = [-row[entering] if increasing else row[entering] for row in tableau]
-        best_t, leave_pos, leave_to_upper = None, -1, False
-        for i, d in enumerate(deltas):
-            k = basis[i]
-            if d < 0:
-                t = beta[i] * denom / -d
-            elif d > 0 and k < n:
-                t = (one - beta[i]) * denom / d
-            else:
+        deltas = -tableau[:r, entering] if increasing else tableau[:r, entering].copy()
+        # ratio test on Python ints: basic i reaches 0 (or 1) after a step of t / q
+        leave_pos, best_t, best_q, best_k = -1, 1, 0, n + r
+        for i, (d, v, k) in enumerate(zip(deltas.tolist(), num.tolist(), basis.tolist())):
+            if not (d < 0 or d > 0 and k < n):
                 continue
-            if best_t is None or t < best_t or (t == best_t and k < basis[leave_pos]):
-                best_t, leave_pos, leave_to_upper = t, i, d > 0
+            t, q = (v, -d) if d < 0 else (denom - v, d)
+            if t * best_q < best_t * q or (t * best_q == best_t * q and k < best_k):
+                leave_pos, best_t, best_q, best_k = i, t, q, k
 
-        if best_t is None and entering >= n:
+        if leave_pos < 0 and entering >= n:
             raise Unbounded("no constraint limits the improving direction")
-        flip = entering < n and (best_t is None or one < best_t)
-        step = one if flip else best_t
-        for i, d in enumerate(deltas):
-            if d:
-                beta[i] += d * step / denom
-        if flip:
+        if entering < n and best_q < best_t:
             # the entering variable swaps bounds without entering the basis
+            num += deltas
             at_upper[entering] = not at_upper[entering]
             bound_flips += 1
             continue
 
-        at_upper[basis[leave_pos]] = leave_to_upper
+        if tableau.dtype != object and max(tableau.max(), -tableau.min(), num.max(),
+                                           -num.min()) >= _INT64_LIMIT:
+            tableau, num, deltas = (v.astype(object) for v in (tableau, num, deltas))
+        a = best_q
+        num = (num * a + deltas * best_t) // denom
+        num[leave_pos] = best_t if increasing else a - best_t
+        at_upper[basis[leave_pos]] = deltas[leave_pos] > 0
         basis[leave_pos] = entering
-        beta[leave_pos] = step if increasing else one - step
-        prow = tableau[leave_pos]
-        a = prow[entering]
-        if a < 0:
-            prow = tableau[leave_pos] = [-y for y in prow]
-            a = -a
-        for row in itertools.chain(tableau, (reduced,)):
-            f = row[entering]
-            if row is not prow and (f or a != denom):
-                row[:] = [(x * a - f * y) // denom for x, y in zip(row, prow)]
+        prow = tableau[leave_pos] * (1 if tableau[leave_pos, entering] > 0 else -1)
+        factors = tableau[:, entering].copy()
+        factors[leave_pos] = 0
+        if a == denom:
+            changed = np.flatnonzero(factors)
+            tableau[changed] -= np.outer(factors[changed], prow) // denom
+        else:
+            tableau *= a
+            tableau -= np.outer(factors, prow)
+            tableau //= denom
+        tableau[leave_pos] = prow
         denom = a
         pivots += 1
 
-    values = [one if at_upper[j] else Fraction(0) for j in range(n)]
-    for i, k in enumerate(basis):
-        if k < n:
-            values[k] = beta[i]
-    vertex = tuple(values)
-    _check_feasible(vertex, rows)
+    values = at_upper[:n].astype(tableau.dtype) * denom
+    values[basis[basis < n]] = num[basis < n]
+    _check_feasible(values, denom, rows)
+    vertex = tuple(Fraction(int(v), denom) for v in values)
     optimum = sum((c * v for c, v in zip(lp.objective, vertex)), Fraction(0))
-    return LpSolution(optimum=optimum, vertex=vertex, basis=tuple(sorted(basis)),
+    return LpSolution(optimum=optimum, vertex=vertex, basis=tuple(sorted(basis.tolist())),
                       pivots=pivots, bound_flips=bound_flips)
 
 
-def _check_feasible(vertex: RationalVector, rows) -> None:
-    if not all(0 <= v <= 1 for v in vertex):
-        raise InvariantViolation(f"simplex left the unit box: {vertex}")
-    if not all(sum(v for v, e in zip(vertex, row) if e) >= 1 for row in rows):
-        raise InvariantViolation(f"simplex left the feasible region: {vertex}")
+def _check_feasible(numerators: np.ndarray, denom: int, rows: np.ndarray) -> None:
+    """The vertex numerators / denom lie in the unit box and meet rows . x >= 1."""
+    if not ((0 <= numerators) & (numerators <= denom)).all():
+        raise InvariantViolation(f"simplex left the unit box: {numerators} / {denom}")
+    if ((rows * numerators).sum(axis=1) < denom).any():
+        raise InvariantViolation(f"simplex left the feasible region: {numerators} / {denom}")
 
 
 def lcm_of_denominators(v: Iterable[Fraction]) -> int:

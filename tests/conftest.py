@@ -15,10 +15,10 @@ from gxstplc.scheme import AsymmConfig
 
 def random_pattern(rng: random.Random, n_max: int = 6, m_max: int = 3,
                    count_max: int = 2, x: int = 0, t: int = 0,
-                   max_rows: int | None = None) -> StoragePattern:
+                   max_rows: int | None = None, n_min: int = 2) -> StoragePattern:
     """A pattern where every group can spare x + t servers and then some."""
     while True:
-        n = rng.randint(max(2, x + t + 1), n_max)
+        n = rng.randint(max(n_min, x + t + 1), n_max)
         m = rng.randint(1, m_max)
         sets = []
         for _ in range(m):

@@ -4,11 +4,13 @@ import itertools
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_covering_lp
+from conftest import random_covering_lp, random_pattern
+from gxstplc.capacity import build_capacity_lp
 from gxstplc.errors import DimensionMismatch, InvariantViolation, ScaleExceeded, Unbounded
 from gxstplc.exactlp import (
     LinearProgram,
@@ -32,6 +34,16 @@ class TestLinearProgramValidation:
     def test_rejects_non_incidence_entries(self):
         with pytest.raises(ValueError):
             LinearProgram(n_vars=2, rows=((1, 2),))
+
+    @pytest.mark.parametrize("entry", [1.0, 0.0, F(1), "1", None])
+    def test_rejects_entries_that_are_not_integers(self, entry):
+        # 1.0 == 1, but an int64 tableau would coerce it silently
+        with pytest.raises(ValueError):
+            LinearProgram(n_vars=2, rows=((1, 0), (entry, 1)))
+
+    def test_accepts_numpy_integers(self):
+        lp = LinearProgram(n_vars=2, rows=(tuple(np.array([1, 0])), (1, 1)))
+        assert simplex_min(lp).vertex == (F(1), F(0))
 
     def test_rejects_empty_row(self):
         with pytest.raises(ValueError):
@@ -96,6 +108,25 @@ class TestSimplex:
         sol = simplex_min(LinearProgram(n_vars=3, rows=rows))
         assert len(sol.basis) == len(rows)
         assert list(sol.basis) == sorted(sol.basis)
+
+
+class TestLargerProgram:
+    def test_pinned_thirty_server_program(self):
+        # recorded with the list-of-lists tableau; the Fraction reference is too slow here
+        rng = random.Random(9)
+        while True:
+            pattern = random_pattern(rng, n_min=30, n_max=30, m_max=14, x=1, max_rows=280)
+            lp = build_capacity_lp(pattern, 1, 0)
+            if len(lp.rows) >= 240:
+                break
+        sol = simplex_min(lp)
+        assert (len(lp.rows), sol.pivots, sol.bound_flips) == (249, 95, 20)
+        assert sol.optimum == F(12, 5)
+        fifths = (1, 4, 10, 12, 13, 16, 19, 21, 22, 24, 25, 29)
+        assert sol.vertex == tuple(F(int(j in fifths), 5) for j in range(30))
+        assert [k for k in sol.basis if k < 30] == [1, 4, 5, 10, 12, 13, 14, 16, 19, 21, 22,
+                                                    24, 25, 29]
+        assert len(sol.basis) == 249
 
 
 class TestOracle:
@@ -198,13 +229,15 @@ class TestInvariantErrors:
     """Checks that stay on under ``python -O``, which strips asserts."""
 
     def test_vertex_outside_box_rejected(self):
+        # the vertex is numerators over one denominator: (2, 0) / 1
         with pytest.raises(InvariantViolation):
-            _check_feasible((F(2), F(0)), ((1, 1),))
+            _check_feasible(np.array([2, 0]), 1, np.array([[1, 1]]))
 
     def test_infeasible_vertex_rejected(self):
+        # (1/2, 1/3) = (3, 2) / 6 misses the row; (1/2, 1/2) = (1, 1) / 2 meets it
         with pytest.raises(InvariantViolation):
-            _check_feasible((F(1, 2), F(1, 3)), ((1, 1),))
-        _check_feasible((F(1, 2), F(1, 2)), ((1, 1),))
+            _check_feasible(np.array([3, 2]), 6, np.array([[1, 1]]))
+        _check_feasible(np.array([1, 1]), 2, np.array([[1, 1]]))
 
     def test_batched_det_needs_square_matrices(self):
         with pytest.raises(DimensionMismatch):

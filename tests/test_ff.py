@@ -228,10 +228,10 @@ class TestMatrix:
     @pytest.mark.parametrize("q", [2, 3])
     def test_solve_roundtrip_dim3_all_invertible(self, q):
         rng = random.Random(301)
-        for flat in itertools.product(range(q), repeat=9):
-            rows = [list(flat[0:3]), list(flat[3:6]), list(flat[6:9])]
-            if rank_mod([list(r) for r in rows], q) < 3:
-                continue
+        mats = np.array(list(itertools.product(range(q), repeat=9))).reshape(-1, 3, 3)
+        invertible = mats[rank_mod(mats, q) == 3].tolist()
+        assert len(invertible) == (q**3 - 1) * (q**3 - q) * (q**3 - q**2)  # |GL(3, q)|
+        for rows in invertible:
             xs = (itertools.product(range(q), repeat=3) if q == 2
                   else [[rng.randrange(q) for _ in range(3)] for _ in range(3)])
             for x in xs:

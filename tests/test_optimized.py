@@ -69,3 +69,28 @@ def test_cli_stdout_is_the_same_under_optimization(pattern, command):
     optimized = run_python(*argv, text=False)
     assert plain.returncode == optimized.returncode == 0, plain.stderr + optimized.stderr
     assert plain.stdout and optimized.stdout == plain.stdout
+
+
+def test_int64_guard_promotes_under_optimization():
+    # the guard is a plain if: with its limit forced to 1 the tableau still turns into
+    # Python ints under -O (the tableau's dtype kind when simplex_min returns), same result
+    code = (
+        "import sys\n"
+        "from gxstplc import exactlp\n"
+        "from gxstplc.capacity import build_capacity_lp\n"
+        "from gxstplc.demos import GRAPH_FOURTEEN\n"
+        "kinds = []\n"
+        "def spy(frame, event, arg):\n"
+        "    if event == 'return' and frame.f_code is exactlp.simplex_min.__code__:\n"
+        "        kinds.append(frame.f_locals['tableau'].dtype.kind)\n"
+        "lp = build_capacity_lp(GRAPH_FOURTEEN, 1, 1)\n"
+        "sys.setprofile(spy)\n"
+        "plain = exactlp.simplex_min(lp)\n"
+        "exactlp._INT64_LIMIT = 1\n"
+        "forced = exactlp.simplex_min(lp)\n"
+        "sys.setprofile(None)\n"
+        "print(sys.flags.optimize, *kinds, plain.pivots > 0, forced == plain)\n"
+    )
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1", "i", "O", "True", "True"]

@@ -10,7 +10,7 @@ decoded symbol.
 The dense Fraction-tableau simplex checks the fraction-free tableau of
 gxstplc.exactlp.simplex_min: both take the same Bland pivots, so they
 must return the same optimum, vertex, basis and pivot and bound-flip
-counts.
+counts, on the int64 tableau and after it turns into Python ints.
 
 A list-of-lists eliminator (normalized pivots, one matrix at a time)
 checks the stacked int64 kernel behind gxstplc.ff.rank_mod and
@@ -21,9 +21,11 @@ the blocked enumeration of gxstplc.audit: every report must be equal,
 counts, violations in order with their details, and notes.
 """
 
+import contextlib
 import dataclasses
 import itertools
 import random
+import sys
 from fractions import Fraction
 from math import comb, prod
 
@@ -33,6 +35,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_config, random_pattern
+from gxstplc import exactlp
 from gxstplc.audit import (
     AuditReport,
     Violation,
@@ -340,15 +343,67 @@ def test_simplex_matches_fraction_reference(lp):
     assert_same_pivot_path(lp)
 
 
-def test_simplex_matches_fraction_reference_on_example_patterns():
+def example_programs() -> set[LinearProgram]:
     # the covering rows depend on x + t only, so equal programs are solved once
-    lps = {build_capacity_lp(p, x, t)
-           for p in (GRAPH_SIX, GRAPH_FOURTEEN, UNEVEN_SEVEN, UNEVEN_NINE)
-           for x, t in itertools.product(range(max(p.replication_factors)), repeat=2)
-           if min_replication_slack(p, x, t) > 0}
+    return {build_capacity_lp(p, x, t)
+            for p in (GRAPH_SIX, GRAPH_FOURTEEN, UNEVEN_SEVEN, UNEVEN_NINE)
+            for x, t in itertools.product(range(max(p.replication_factors)), repeat=2)
+            if min_replication_slack(p, x, t) > 0}
+
+
+def test_simplex_matches_fraction_reference_on_example_patterns():
+    lps = example_programs()
     assert len(lps) == 14
     for lp in lps:
         assert_same_pivot_path(lp)
+
+
+@contextlib.contextmanager
+def final_tableau_kinds():
+    """Collects the dtype kind of simplex_min's tableau as each call returns:
+    'i' for int64, 'O' for Python ints."""
+    kinds = []
+
+    def spy(frame, event, arg):
+        if event == "return" and frame.f_code is simplex_min.__code__:
+            kinds.append(frame.f_locals["tableau"].dtype.kind)
+
+    previous = sys.getprofile()
+    sys.setprofile(spy)
+    try:
+        yield kinds
+    finally:
+        sys.setprofile(previous)
+
+
+def test_promoted_tableau_matches_fraction_reference_on_example_patterns():
+    # with the int64 limit at 1 the tableau turns into Python ints at the first pivot
+    lps = list(example_programs())
+    expected = [reference_simplex(lp)[0] for lp in lps]
+    with pytest.MonkeyPatch.context() as mp, final_tableau_kinds() as kinds:
+        mp.setattr(exactlp, "_INT64_LIMIT", 1)
+        assert [simplex_min(lp) for lp in lps] == expected
+    assert kinds == ["O" if sol.pivots else "i" for sol in expected]
+    assert "O" in kinds
+
+
+@settings(max_examples=100, deadline=None)
+@given(covering_lps())
+def test_promoted_tableau_matches_fraction_reference(lp):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlp, "_INT64_LIMIT", 1)
+        assert_same_pivot_path(lp)
+
+
+def test_objective_beyond_int64_starts_on_python_ints():
+    # 10**20 does not fit in an int64, so the tableau starts on Python ints
+    lps = [LinearProgram(lp.n_vars, lp.rows, (Fraction(10**20, 3),) + lp.objective[1:])
+           for lp in example_programs()]
+    expected = [reference_simplex(lp)[0] for lp in lps]
+    assert any(sol.pivots for sol in expected)
+    with final_tableau_kinds() as kinds:
+        assert [simplex_min(lp) for lp in lps] == expected
+    assert kinds == ["O"] * len(lps)
 
 
 def test_simplex_matches_fraction_reference_on_larger_programs():
