@@ -4,21 +4,24 @@ Two inspection depths are offered.  Rank certificates are the fast
 path: a colluding subset learns nothing about set m exactly when it
 holds at most x_m shares of it and the noise coefficients seen by those
 servers have full row rank (and analogously for query coefficients with
-t_m).  A verdict depends only on the side, the set and the servers of
-its group the subset holds, so every sweep first collects its distinct
-such jobs, ranks the noise matrices of equally shaped jobs in batches
-(one ``ff.rank_mod`` call per bounded stack), and then reports the
-violations in sweep order.  The exhaustive audit is the slow ground
-truth: it enumerates every realization of messages and noise over a
-tiny field, in blocks of int64 assignments, and verifies that the joint
-count table of (observed symbols, secrets) factorizes exactly, i.e.
-each observation is seen equally often with every secret.
+t_m).  The ranks are closed-form: s <= x_m servers at points a see the
+s x x_m Vandermonde block a^d, whose rank is the number of distinct
+points, and their query rows at slot l are that block with each row
+scaled by a - f_l, whose rank counts the distinct points other than
+f_l.  So a sweep checks each group once: when its points are distinct
+and (for queries) avoid every f point, every subset up to the threshold
+passes, and subsets are walked only for a group that fails the check,
+to name its violations.  The exhaustive audit is the slow ground truth:
+it enumerates every realization of messages and noise over a tiny
+field, in blocks of int64 assignments, and verifies that every
+observation of the colluders occurs with every secret assignment.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Collection
 from dataclasses import dataclass
 from math import comb
 
@@ -26,13 +29,12 @@ import numpy as np
 
 from .augment import AugmentedSystem
 from .errors import DimensionMismatch, ScaleExceeded
-from .ff import pivot_columns, rank_mod
+from .ff import pivot_columns
 from .scheme import AsymmConfig, SchemeParams, virtual_config
 
 _EXHAUSTIVE_CELL_CAP = 10**7
 _EXHAUSTIVE_SUBSET_CAP = 5000
 _SAMPLE_SIZE = 500
-_RANK_BLOCK = 1 << 13    # matrix entries in one stacked rank call
 _CELL_BLOCK = 1 << 12    # assignments enumerated at a time
 
 
@@ -82,10 +84,6 @@ class _Side:
     def threshold(self, config: AsymmConfig, m: int) -> int:
         return (config.x_vec if self.name == "storage" else config.t_vec)[m - 1]
 
-    def slots(self, params: SchemeParams) -> int:
-        """Noise rows per server: one for storage (every slot alike), one per slot for queries."""
-        return 1 if self.name == "storage" else params.l_value
-
     def noise(self, params: SchemeParams, points: np.ndarray, depth: int) -> np.ndarray:
         """Noise coefficients of servers at the given points, of shape
         points.shape + (slots, depth)."""
@@ -96,6 +94,18 @@ class _Side:
         if self.name == "storage":
             return powers
         return ((points[..., None] - params.f) % q)[..., None] * powers % q
+
+    def ranks(self, params: SchemeParams, servers: Collection[int]) -> list[int]:
+        """Per slot, the distinct points of the servers, off f_l for queries:
+        the rank of their noise rows when there are at most depth servers."""
+        points = {int(params.alpha[n - 1]) for n in servers}
+        if self.name == "storage":
+            return [len(points)]
+        return [len(points - {f}) for f in params.f.tolist()]
+
+    def clear(self, params: SchemeParams, servers: Collection[int]) -> bool:
+        """True iff every subset of at most depth of the servers passes."""
+        return all(rank == len(servers) for rank in self.ranks(params, servers))
 
     def secret(self, params: SchemeParams, a: int, m: int, l: int) -> int:
         q = params.field.q
@@ -111,35 +121,18 @@ _SIDES = {side.name: side for side in (
           "privacy: not applicable (t=0)"),
 )}
 
-_Job = tuple[str, int, tuple[int, ...]]  # (side, set m, the servers of m's group held)
 
-
-def _verdicts(config: AsymmConfig, params: SchemeParams, jobs: list[_Job]) -> list[str | None]:
-    """Per job, None if its servers learn nothing about set m on its side,
-    else why not.  The noise matrices of equally shaped jobs are ranked
-    together, in stacks of at most _RANK_BLOCK entries."""
-    details: list[str | None] = [None] * len(jobs)
-    shapes: dict[tuple[str, int, int], list[int]] = {}
-    for i, (side, m, hit) in enumerate(jobs):
-        s, depth = len(hit), _SIDES[side].threshold(config, m)
-        if s > depth:
-            details[i] = f"{s} colluders in the group exceed the threshold {depth}"
-        elif s:
-            shapes.setdefault((side, s, depth), []).append(i)
-    q = params.field.q
-    for (side, s, depth), positions in shapes.items():
-        spec = _SIDES[side]
-        step = max(1, _RANK_BLOCK // (spec.slots(params) * s * depth))
-        for start in range(0, len(positions), step):
-            block = positions[start:start + step]
-            points = params.alpha[np.array([jobs[i][2] for i in block]) - 1]
-            stack = spec.noise(params, points, depth).transpose(0, 2, 1, 3)
-            ranks = rank_mod(stack.reshape(-1, s, depth), q).reshape(len(block), -1)
-            for j in np.flatnonzero((ranks != s).any(axis=1)):
-                l = int(np.argmax(ranks[j] != s)) + 1
-                details[block[j]] = (f"{side} noise covers rank {ranks[j, l - 1]} of {s} "
-                                     f"{spec.shortfall.format(l=l)}")
-    return details
+def _verdict(config: AsymmConfig, params: SchemeParams, spec: _Side, m: int,
+             hit: Collection[int]) -> str | None:
+    """None if the servers hit of set m's group learn nothing about m on
+    this side, else why not."""
+    s, depth = len(hit), spec.threshold(config, m)
+    if s > depth:
+        return f"{s} colluders in the group exceed the threshold {depth}"
+    for l, rank in enumerate(spec.ranks(params, hit), start=1):
+        if rank != s:
+            return f"{spec.name} noise covers rank {rank} of {s} {spec.shortfall.format(l=l)}"
+    return None
 
 
 def _check_servers(subset: tuple[int, ...], n_servers: int) -> None:
@@ -152,9 +145,8 @@ def _certificate(config: AsymmConfig, params: SchemeParams,
                  subset: tuple[int, ...], side: str) -> bool:
     _check_servers(subset, config.n_servers)
     held = set(subset)
-    jobs = [(side, m, tuple(sorted(held.intersection(group))))
-            for m, group in enumerate(params.groups, start=1)]
-    return not any(_verdicts(config, params, jobs))
+    return all(_verdict(config, params, _SIDES[side], m, held.intersection(group)) is None
+               for m, group in enumerate(params.groups, start=1))
 
 
 def security_rank_certificate(config: AsymmConfig, params: SchemeParams,
@@ -221,26 +213,28 @@ def _independence_side(config: AsymmConfig, params: SchemeParams,
                     for d, c in enumerate(noise_coeffs, start=1):
                         form[n_secret + noise_index[(m, d, l, k)]] = c
                     forms.append(form)
-    failure = _uneven_observation(np.array(forms, dtype=np.int64).reshape(-1, n_vars),
-                                  n_secret, q)
-    if failure is None:
+    observed = _uneven_observation(np.array(forms, dtype=np.int64).reshape(-1, n_vars),
+                                   n_secret, q)
+    if observed is None:
         return cells, None
-    observed, what = failure
-    return cells, f"{side}: observation {observed} {what}"
+    return cells, f"{side}: observation {observed} misses some secrets"
 
 
-def _uneven_observation(forms: np.ndarray, n_secret: int,
-                        q: int) -> tuple[tuple[int, ...], str] | None:
+def _uneven_observation(forms: np.ndarray, n_secret: int, q: int) -> tuple[int, ...] | None:
     """The first observation, in enumeration order, not seen equally often
-    with every secret, and what is wrong with it; None if there is none.
+    with every secret; None if there is none.
 
-    Assignments are numbered in itertools.product order (the last
-    variable runs fastest, the secrets lead) and enumerated in blocks of
-    _CELL_BLOCK.  An observation is keyed by its values on a basis of
-    the forms' rows, an (observation, secret) pair by the secret and the
-    values on the rows that extend the secrets to a basis; the basis
-    values fix all others, so every key is below q**n_vars and each
-    count table holds one entry per value that can occur.
+    Observations are linear in the assignment, so each (observation,
+    secret) pair that occurs at all occurs q**(dim of the noise kernel)
+    times: an observation is seen equally often with every secret iff it
+    is seen with every secret, and only that is checked.  Assignments
+    are numbered in itertools.product order (the last variable runs
+    fastest, the secrets lead) and enumerated in blocks of _CELL_BLOCK.
+    An observation is keyed by its values on a basis of the forms' rows,
+    an (observation, secret) pair by the secret and the values on the
+    rows that extend the secrets to a basis; the basis values fix all
+    others, so every key is below q**n_vars, and independent rows take
+    every value, so every key occurs.
     """
     n_vars = forms.shape[1]
     cells = q ** n_vars
@@ -253,38 +247,19 @@ def _uneven_observation(forms: np.ndarray, n_secret: int,
     obs_weight = q ** np.arange(len(obs_rows), dtype=np.int64)
     pair_weight = secret_states * q ** np.arange(len(pair_rows), dtype=np.int64)
 
-    pair_count = np.zeros(secret_states * q ** len(pair_rows), dtype=np.int64)
-    obs_of_pair = np.zeros_like(pair_count)
+    obs_of_pair = np.zeros(secret_states * q ** len(pair_rows), dtype=np.int64)
     first = np.full(q ** len(obs_rows), cells, dtype=np.int64)  # first assignment seen
     for start in range(0, cells, _CELL_BLOCK):
         index = np.arange(start, min(start + _CELL_BLOCK, cells), dtype=np.int64)
-        observed = np.zeros((len(index), len(forms)), dtype=np.int64)
-        for j, place in enumerate(digit):
-            observed += (index // place % q)[:, None] * forms[:, j]
-            observed %= q
+        observed = (index[:, None] // digit % q) @ forms.T % q
         obs_key = observed[:, obs_rows] @ obs_weight
-        pair_key = index // noise_states + observed[:, pair_rows] @ pair_weight
-        keys, counts = np.unique(pair_key, return_counts=True)
-        pair_count[keys] += counts
-        obs_of_pair[pair_key] = obs_key
-        keys, at = np.unique(obs_key, return_index=True)
-        first[keys] = np.minimum(first[keys], start + at)
+        obs_of_pair[index // noise_states + observed[:, pair_rows] @ pair_weight] = obs_key
+        np.minimum.at(first, obs_key, index)
 
-    seen = pair_count > 0
-    owner, counts = obs_of_pair[seen], pair_count[seen]
-    secrets_seen = np.bincount(owner, minlength=len(first))
-    low = np.full(len(first), cells, dtype=np.int64)
-    high = np.zeros(len(first), dtype=np.int64)
-    np.minimum.at(low, owner, counts)
-    np.maximum.at(high, owner, counts)
-    misses = secrets_seen != secret_states
-    bad = np.flatnonzero((first < cells) & (misses | (low != high)))
+    bad = np.flatnonzero(np.bincount(obs_of_pair, minlength=len(first)) != secret_states)
     if not bad.size:
         return None
-    key = bad[np.argmin(first[bad])]
-    observed = first[key] // digit % q @ forms.T % q
-    what = "misses some secrets" if misses[key] else "has uneven counts"
-    return tuple(int(v) for v in observed), what
+    return tuple(int(v) for v in first[bad].min() // digit % q @ forms.T % q)
 
 
 def exhaustive_independence_audit(config: AsymmConfig, params: SchemeParams,
@@ -315,8 +290,10 @@ def asymm_scheme_audit(config: AsymmConfig, params: SchemeParams) -> AuditReport
 
     For every set m and each side, every subset of its own replication
     group up to the side's threshold (x_m or t_m) is checked against that
-    side's certificate; smaller subsets see submatrices of these.  The
-    subsets of one set and side are ranked in batches.
+    side's certificate; smaller subsets see submatrices of these.  A
+    group whose points are distinct and (for queries) avoid every f
+    point passes all of them at once; the subsets of any other group are
+    walked to name the violations.
     """
     violations: list[Violation] = []
     notes: list[str] = []
@@ -327,12 +304,14 @@ def asymm_scheme_audit(config: AsymmConfig, params: SchemeParams) -> AuditReport
             depth = spec.threshold(config, m)
             if depth == 0:
                 notes.append(f"set {m}: {spec.sweep_note}")
-            jobs = [(spec.name, m, subset) for size in range(1, depth + 1)
-                    for subset in itertools.combinations(group, size)]
-            checked += len(jobs)
-            violations += [Violation(subset, m, f"{spec.name}: {detail}")
-                           for (_, _, subset), detail in zip(jobs, _verdicts(config, params, jobs))
-                           if detail is not None]
+            checked += sum(comb(len(group), size) for size in range(1, depth + 1))
+            if spec.clear(params, group):
+                continue
+            for size in range(1, depth + 1):
+                for subset in itertools.combinations(group, size):
+                    detail = _verdict(config, params, spec, m, subset)
+                    if detail is not None:
+                        violations.append(Violation(subset, m, f"{spec.name}: {detail}"))
     return _report("rank_certificate", checked, violations, notes=tuple(notes))
 
 
@@ -345,12 +324,13 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
     exposure must stay within the inflated thresholds x*gamma_m and
     t*gamma_m; the rank certificates then run on the virtual scheme, for
     the sets holding at least one exposed copy (the others see nothing).
-    The verdict on set m depends only on which of the subset's servers
-    hold copies of m, so each distinct (side, m, holders) job is ranked
-    once, in batches, and the subsets are walked for the report only
-    where a job failed.  Small systems are swept exhaustively (every
-    subset of up to the threshold holders of each set is a job); larger
-    ones fall back to a deterministic sample and say so.
+    A side passes as a whole when, for every set m, the x (or t) largest
+    copy counts among m's holders sum to at most m's inflated threshold
+    and m's virtual points are clear (distinct, and off every f point
+    for queries).  Only a side that fails this check walks its original
+    subsets, to name the violations: every subset of up to x (or t)
+    originals on small systems, a deterministic sample on larger ones.
+    The report counts and flags the subsets that walk covers either way.
     """
     config = virtual_config(a)
     if params.groups != tuple(config.pattern.servers_of(m + 1)
@@ -377,38 +357,22 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
     for m, group in enumerate(a.r_bar, start=1):
         for vs in group:
             copies[m].setdefault(vs[0], []).append(a.flat_id(vs))
-    touched = [[m for m in range(1, config.m_count + 1) if o in copies[m]]
-               for o in range(n + 1)]
 
-    def holders(originals: tuple[int, ...]):
-        """(m, the originals holding copies of m) for each set the subset touches."""
-        for m in sorted(set().union(*(touched[o] for o in originals))):
-            yield m, tuple(o for o in originals if o in copies[m])
-
-    sweeps: list[tuple[str, list[tuple[int, ...]]]] = []
-    keys: dict[tuple[str, int, tuple[int, ...]], None] = {}  # (side, m, holders)
+    violations: list[Violation] = []
     notes: list[str] = []
+    checked = 0
     for spec, limit in zip(_SIDES.values(), (x, t)):
         if limit == 0:
             notes.append(spec.merged_note)
             continue
-        subsets = list(original_subsets(limit))
-        sweeps.append((spec.name, subsets))
-        if sampled:
-            keys.update(dict.fromkeys((spec.name, m, held) for originals in subsets
-                                      for m, held in holders(originals)))
-        else:
-            keys.update(dict.fromkeys(
-                (spec.name, m, held) for m in range(1, config.m_count + 1)
-                for size in range(1, limit + 1)
-                for held in itertools.combinations(sorted(copies[m]), size)))
-    jobs = [(side, m, tuple(sorted(v for o in held for v in copies[m][o])))
-            for side, m, held in keys]
-    verdict = dict(zip(keys, _verdicts(config, params, jobs)))
-    failing = {side for (side, _, _), detail in verdict.items() if detail is not None}
-    violations = [Violation(originals, m, f"{side}: {verdict[side, m, held]}")
-                  for side, subsets in sweeps if side in failing
-                  for originals in subsets for m, held in holders(originals)
-                  if verdict[side, m, held] is not None]
-    return _report("rank_certificate", sum(len(s) for _, s in sweeps), violations,
-                   sampled=sampled, notes=tuple(notes))
+        checked += _SAMPLE_SIZE if sampled else sum(comb(n, size) for size in range(1, limit + 1))
+        if all(sum(sorted(map(len, by_holder.values()))[-limit:]) <= spec.threshold(config, m)
+               and spec.clear(params, params.group_of(m)) for m, by_holder in copies.items()):
+            continue
+        for originals in original_subsets(limit):
+            for m, by_holder in copies.items():
+                exposed = [v for o in originals for v in by_holder.get(o, ())]
+                detail = _verdict(config, params, spec, m, exposed) if exposed else None
+                if detail is not None:
+                    violations.append(Violation(originals, m, f"{spec.name}: {detail}"))
+    return _report("rank_certificate", checked, violations, sampled=sampled, notes=tuple(notes))

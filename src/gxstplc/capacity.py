@@ -45,8 +45,7 @@ def build_capacity_lp(p: StoragePattern, x: int, t: int) -> LinearProgram:
     """
     if x < 0 or t < 0:
         raise ValueError("thresholds must be nonnegative")
-    rows: list[tuple[int, ...]] = []
-    seen: set[tuple[int, ...]] = set()
+    rows: dict[tuple[int, ...], None] = {}
     for m in range(1, p.m_count + 1):
         group = p.servers_of(m)
         size = len(group) - x - t
@@ -55,10 +54,10 @@ def build_capacity_lp(p: StoragePattern, x: int, t: int) -> LinearProgram:
                 f"message set {m} has {len(group)} replicas, needs more than {x + t}"
             )
         for subset in itertools.combinations(group, size):
-            row = tuple(1 if n in subset else 0 for n in range(1, p.n_servers + 1))
-            if row not in seen:
-                seen.add(row)
-                rows.append(row)
+            row = [0] * p.n_servers
+            for n in subset:
+                row[n - 1] = 1
+            rows[tuple(row)] = None
     return LinearProgram(n_vars=p.n_servers, rows=tuple(rows))
 
 

@@ -62,11 +62,14 @@ class LinearProgram:
         for r in rows:
             if len(r) != self.n_vars:
                 raise ValueError(f"row {r} has wrong length")
-            kinds = set(map(type, r))
-            if not set(r) <= {0, 1} or not all(issubclass(k, (int, np.integer)) for k in kinds):
-                raise ValueError(f"row {r} is not 0/1 incidence over integers")
-            if not any(r):
-                raise ValueError("a row with no variables cannot reach 1")
+        table = np.array(rows).reshape(len(rows), self.n_vars)
+        if rows and table.dtype.kind not in "biu":
+            raise ValueError(f"row entries must be integers, not {table.dtype}")
+        outside = ((table != 0) & (table != 1)).any(axis=1)
+        if outside.any():
+            raise ValueError(f"row {rows[int(np.argmax(outside))]} is not 0/1 incidence")
+        if not table.any(axis=1).all():
+            raise ValueError("a row with no variables cannot reach 1")
         object.__setattr__(self, "rows", rows)
         if self.objective is None:
             object.__setattr__(

@@ -94,3 +94,27 @@ def test_int64_guard_promotes_under_optimization():
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["1", "i", "O", "True", "True"]
+
+
+def test_colliding_points_fail_the_sweep_under_optimization():
+    # the closed-form group check is a plain if: under -O colliding points
+    # still fail the sweep, with the same violations as without it
+    code = (
+        "import dataclasses, sys\n"
+        "from gxstplc.audit import asymm_scheme_audit\n"
+        "from gxstplc.demos import UNEVEN_NINE\n"
+        "from gxstplc.scheme import AsymmConfig, setup\n"
+        "config = AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2))\n"
+        "params = setup(config)\n"
+        "alpha = params.alpha.copy()\n"
+        "alpha[3] = alpha[4]\n"
+        "report = asymm_scheme_audit(config, dataclasses.replace(params, alpha=alpha))\n"
+        "print(sys.flags.optimize, report.passed, len(report.violations))\n"
+        "print(report.violations)\n"
+    )
+    plain = run_python("-c", code, optimize=False)
+    optimized = run_python("-c", code)
+    assert plain.returncode == optimized.returncode == 0, plain.stderr + optimized.stderr
+    head, violations = optimized.stdout.split("\n", 1)
+    assert head.split() == ["1", "False", "2"]
+    assert plain.stdout == f"0 False 2\n{violations}"

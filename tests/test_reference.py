@@ -14,11 +14,12 @@ counts, on the int64 tableau and after it turns into Python ints.
 
 A list-of-lists eliminator (normalized pivots, one matrix at a time)
 checks the stacked int64 kernel behind gxstplc.ff.rank_mod and
-solve_mod.  On top of it, the audits written one subset and one set at
-a time (the rank certificate per subset, the exhaustive enumeration by
-itertools.product into a dict of counts) check the batched sweeps and
-the blocked enumeration of gxstplc.audit: every report must be equal,
-counts, violations in order with their details, and notes.
+solve_mod, and the closed-form noise ranks of gxstplc.audit.  On top of
+it, the audits written one subset and one set at a time (the rank
+certificate per subset, the exhaustive enumeration by itertools.product
+into a dict of counts) check the closed-form sweeps and the blocked
+enumeration of gxstplc.audit: every report must be equal, counts,
+violations in order with their details, and notes.
 """
 
 import contextlib
@@ -37,6 +38,7 @@ from hypothesis import strategies as st
 from conftest import random_config, random_pattern
 from gxstplc import exactlp
 from gxstplc.audit import (
+    _SIDES,
     AuditReport,
     Violation,
     asymm_scheme_audit,
@@ -50,7 +52,7 @@ from gxstplc.capacity import asymptotic_capacity, build_capacity_lp
 from gxstplc.demos import GRAPH_FOURTEEN, GRAPH_SIX, UNEVEN_NINE, UNEVEN_SEVEN
 from gxstplc.errors import Infeasible, SingularMatrix, Unbounded
 from gxstplc.exactlp import LinearProgram, LpSolution, simplex_min
-from gxstplc.ff import rank_mod, solve_mod
+from gxstplc.ff import PrimeField, rank_mod, solve_mod
 from gxstplc.pattern import min_replication_slack
 from gxstplc.pattern import MessageSet, StoragePattern
 from gxstplc.scheme import (
@@ -423,6 +425,26 @@ def test_simplex_matches_fraction_reference_on_larger_programs():
     assert any(a < 0 for a in integer_pivots)
 
 
+def reference_capacity_rows(pattern, x, t):
+    """Covering rows by a membership test over all servers, first occurrence kept."""
+    rows = []
+    for m in range(1, pattern.m_count + 1):
+        group = pattern.servers_of(m)
+        for subset in itertools.combinations(group, len(group) - x - t):
+            row = tuple(1 if n in subset else 0 for n in range(1, pattern.n_servers + 1))
+            if row not in rows:
+                rows.append(row)
+    return tuple(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 2), st.integers(0, 2))
+def test_capacity_rows_match_reference_in_order(seed, x, t):
+    # the Bland vertex, and so tau, depends on the row order
+    pattern = random_pattern(random.Random(seed), n_max=7, m_max=4, x=x, t=t)
+    assert build_capacity_lp(pattern, x, t).rows == reference_capacity_rows(pattern, x, t)
+
+
 # -- field linear algebra ----------------------------------------------------
 
 def reference_eliminate(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
@@ -722,6 +744,59 @@ def test_failing_sweeps_match_reference():
                                   t_bar=aug.t_bar)
     report = assert_merged_matches(lowered, params, 2, 2)
     assert report.sampled and not report.passed
+
+
+@st.composite
+def point_multisets(draw):
+    """(params, depth, s): s <= depth servers whose points repeat and sit on f points."""
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    f = draw(st.lists(st.integers(0, q - 1), min_size=1, max_size=3, unique=True))
+    depth = draw(st.integers(1, 4))
+    points = draw(st.lists(st.one_of(st.integers(0, q - 1), st.sampled_from(f)), max_size=depth))
+    params = dataclasses.replace(setup(AsymmConfig(PAIR, (1,), (0,))), field=PrimeField(q),
+                                 alpha=np.array(points, dtype=np.int64),
+                                 f=np.array(f, dtype=np.int64))
+    return params, depth, len(points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_multisets())
+def test_closed_form_ranks_match_row_ranks(case):
+    params, depth, s = case
+    q = params.field.q
+    for side, spec in _SIDES.items():
+        per_server = [reference_noise_rows(params, side, a, depth) for a in params.alpha.tolist()]
+        slots = len(reference_noise_rows(params, side, 0, depth))
+        expected = [reference_rank([rows[l] for rows in per_server], q) for l in range(slots)]
+        assert spec.ranks(params, range(1, s + 1)) == expected
+
+
+def test_colliding_points_pass_when_no_subset_sees_two():
+    # the group check fails, so the sweep walks its subsets, and none fails
+    config = AsymmConfig(TRIPLE, (1,), (1,), l_value=1)
+    params = setup(config)
+    colliding = with_alpha(params, {2: params.alpha[0]})
+    assert not any(spec.clear(colliding, (1, 2, 3)) for spec in _SIDES.values())
+    assert asymm_scheme_audit(config, colliding).passed
+    assert_sweeps_match(config, colliding)
+
+
+def test_point_on_f_passes_without_query_privacy():
+    config = AsymmConfig(PAIR, (1,), (0,))
+    params = setup(config)
+    on_f = with_alpha(params, {2: params.f[0]})
+    assert not _SIDES["query"].clear(on_f, (1, 2))
+    assert asymm_scheme_audit(config, on_f).passed
+    assert_sweeps_match(config, on_f)
+
+
+def test_sampled_merged_audit_fails_on_query_side_alone():
+    wide = StoragePattern(102, (MessageSet(tuple(range(1, 6))),))
+    aug, params = merged_system(wide, 2, 2)
+    lowered = dataclasses.replace(aug, t_bar=tuple(v - 1 for v in aug.t_bar))
+    report = assert_merged_matches(lowered, params, 2, 2)
+    assert report.sampled and not report.passed
+    assert {v.detail.split(":")[0] for v in report.violations} == {"query"}
 
 
 def test_certificates_match_reference_per_subset():
