@@ -18,6 +18,8 @@ the security audit checks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 
 from .capacity import CapacityResult
 from .errors import DegenerateInput, InvariantViolation
@@ -44,12 +46,17 @@ class AugmentedSystem:
     def n_virtual(self) -> int:
         return len(self.virtual_servers)
 
+    @cached_property
+    def _offsets(self) -> tuple[int, ...]:
+        """Virtual servers before each original server's first copy."""
+        return tuple(accumulate(self.tau, initial=0))
+
     def flat_id(self, vs: VirtualServer) -> int:
         """1-based position of a virtual server in the global order."""
         n, i = vs
         if not (1 <= n <= self.n_original and 1 <= i <= self.tau[n - 1]):
             raise ValueError(f"no such virtual server: {vs}")
-        return sum(self.tau[: n - 1]) + i
+        return self._offsets[n - 1] + i
 
     def exposed(self, originals: tuple[int, ...]) -> tuple[int, ...]:
         """Flat ids of every virtual copy of the given original servers."""

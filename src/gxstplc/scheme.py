@@ -18,15 +18,20 @@ with u_{m,l} the product of (f_l - alpha_n) over the replication group.
 Multiplying a share by a query makes the desired term a scaled Cauchy
 entry while every noise product lands in a low-degree polynomial of
 alpha_n; the answer weights v_{n,m} (dual generalized Reed-Solomon
-coefficients) annihilate those polynomials in the decoding sums.
+coefficients) annihilate those polynomials in the decoding sums, which
+leaves a transposed-Vandermonde system at the f points; ``reconstruct``
+applies its closed-form inverse.  ``setup`` fixes every constant once,
+the Cauchy entries as one [N, L] table, and the noise sums are
+evaluated by Horner's rule.
 
 Field data is held as read-only int64 residue arrays, one per message
 set m: message and coefficient banks are [K_m, L], noise is
 [depth_m, L, K_m], and share and query blocks are [|R_m|, L, K_m] with
 rows in the order of servers_of(m).  Every product is reduced mod q
-before the next one, so nothing overflows for any q below
-``ff.MAX_MODULUS``.  FieldElements appear only in the transcript, in
-``expected_combination`` and in the lemma checks.
+before it meets another product, so an intermediate value is at most
+one product plus a sum of residues, and nothing overflows for any q
+below ``ff.MAX_MODULUS``.  FieldElements appear only in the transcript,
+in ``expected_combination`` and in the lemma checks.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from .errors import (
     FieldTooSmall,
     InvariantViolation,
 )
-from .ff import FieldElement, PrimeField, smallest_prime_at_least, solve_mod
+from .ff import FieldElement, PrimeField, smallest_prime_at_least
 from .pattern import StoragePattern
 
 
@@ -149,20 +154,30 @@ def _rows(group: tuple[int, ...]) -> np.ndarray:
     return np.asarray(group) - 1
 
 
+def _product(factors: np.ndarray, q: int) -> np.ndarray:
+    """Product mod q along the last axis, in log2(width) halving steps."""
+    while (width := factors.shape[-1]) > 1:
+        half = width // 2
+        head = factors[..., :half] * factors[..., half:2 * half] % q
+        if width % 2:
+            head[..., 0] = head[..., 0] * factors[..., -1] % q
+        factors = head
+    return factors[..., 0]
+
+
 def _node_products(points: np.ndarray, nodes: np.ndarray, q: int, *,
                    skip_own: bool = False) -> np.ndarray:
     """prod over nodes of (p - node) mod q, for each point p.
 
-    With skip_own, points and nodes are the same list and point i leaves
-    out node i: prod_{k != i} (a_i - a_k).
+    points [..., P] and nodes [..., K] share their leading axes.  With
+    skip_own, points and nodes are the same list and point i leaves out
+    node i: prod_{k != i} (a_i - a_k).
     """
-    diff = (points[:, None] - nodes[None, :]) % q
+    diff = (points[..., :, None] - nodes[..., None, :]) % q
     if skip_own:
-        np.fill_diagonal(diff, 1)
-    out = np.ones(len(points), dtype=np.int64)
-    for column in diff.T:
-        out = out * column % q
-    return out
+        own = np.arange(diff.shape[-1])
+        diff[..., own, own] = 1
+    return _product(diff, q)
 
 
 def _inverse(a: np.ndarray, q: int) -> np.ndarray:
@@ -178,6 +193,16 @@ def _inverse(a: np.ndarray, q: int) -> np.ndarray:
     return out
 
 
+def _dual_weights(points: np.ndarray, q: int) -> np.ndarray:
+    """prod_{k != i} (a_i - a_k)^{-1} for each point a_i, along the last axis."""
+    return _inverse(_node_products(points, points, q, skip_own=True), q)
+
+
+def _cauchy(alpha: np.ndarray, f: np.ndarray, q: int) -> np.ndarray:
+    """The Cauchy matrix [1/(alpha_n - f_l)], [len(alpha), len(f)]."""
+    return _inverse(alpha[:, None] - f[None, :], q)
+
+
 @dataclass(frozen=True, eq=False)
 class SchemeParams(_Residues):
     """Field constants fixed before any message or query exists."""
@@ -188,6 +213,7 @@ class SchemeParams(_Residues):
     f: np.ndarray                          # [L]: one point per decoded slot
     u: np.ndarray                          # [M, L]: u[m-1, l-1]
     v: tuple[np.ndarray, ...]              # v[m-1][r]: weight of group_of(m)[r]
+    cauchy: np.ndarray                     # [N, L]: 1/(alpha_n - f_l)
     groups: tuple[tuple[int, ...], ...]    # replication groups: row order of per-set arrays
 
     def group_of(self, m: int) -> tuple[int, ...]:
@@ -199,6 +225,7 @@ def setup(config: AsymmConfig, field_override: int | None = None) -> SchemeParam
 
     The default field is the smallest prime holding N + L distinct
     points; an explicit override must be a prime at least that large.
+    u and v are computed at once for all groups of one size.
     """
     n = config.n_servers
     l_value = config.l_effective
@@ -215,14 +242,22 @@ def setup(config: AsymmConfig, field_override: int | None = None) -> SchemeParam
     alpha = _frozen(np.arange(1, n + 1, dtype=np.int64))
     f = _frozen(np.arange(n + 1, needed + 1, dtype=np.int64) % q)
     groups = tuple(config.pattern.servers_of(m) for m in range(1, config.m_count + 1))
-    members = [alpha[_rows(group)] for group in groups]
+    u = np.empty((len(groups), l_value), dtype=np.int64)
+    v = [None] * len(groups)
+    for size in set(map(len, groups)):
+        batch = [m for m, group in enumerate(groups) if len(group) == size]
+        members = alpha[_rows([groups[m] for m in batch])]      # [groups, size]
+        u[batch] = _node_products(f[None], members, q)
+        for m, weights in zip(batch, _dual_weights(members, q)):
+            v[m] = _frozen(weights)
     return SchemeParams(
         field=field,
         l_value=l_value,
         alpha=alpha,
         f=f,
-        u=_frozen(np.array([_node_products(f, a, q) for a in members])),
-        v=tuple(_frozen(_inverse(_node_products(a, a, q, skip_own=True), q)) for a in members),
+        u=_frozen(u),
+        v=tuple(v),
+        cauchy=_frozen(_cauchy(alpha, f, q)),
         groups=groups,
     )
 
@@ -335,16 +370,19 @@ def _noise(config: AsymmConfig, params: SchemeParams, depths: tuple[int, ...],
     return _checked(_to_residues(noise, params.field.q), shapes, "noise")
 
 
-def _add_noise(block: np.ndarray, coeff: np.ndarray, points: np.ndarray,
-               noise: np.ndarray, q: int) -> np.ndarray:
-    """block + sum_d coeff * point^d * noise[d] mod q, one row per server.
+def _mask(points: np.ndarray, noise: np.ndarray, q: int) -> np.ndarray:
+    """sum_d point^d * noise[d] mod q by Horner, one row per server.
 
-    block is [R, L, K], coeff [R, L], points [R] and noise [depth, L, K].
+    points is [R] and noise [depth, L, K]; the result is [R, L, K], zero
+    at depth 0.
     """
-    for z in noise:
-        block = (block + coeff[:, :, None] * z[None] % q) % q
-        coeff = coeff * points[:, None] % q
-    return _frozen(block)
+    acc = np.empty((len(points),) + noise.shape[1:], dtype=np.int64)
+    acc[:] = noise[-1] if len(noise) else 0
+    for z in noise[-2::-1]:
+        acc *= points[:, None, None]
+        acc += z
+        acc %= q
+    return acc
 
 
 def encode_storage(config: AsymmConfig, params: SchemeParams,
@@ -356,10 +394,11 @@ def encode_storage(config: AsymmConfig, params: SchemeParams,
     noise = _noise(config, params, config.x_vec, rng_seed, noise)
     blocks = []
     for group, w, z in zip(params.groups, messages.values, noise):
-        a = params.alpha[_rows(group)]
-        scale = _inverse(a[:, None] - params.f[None, :], q)
-        blocks.append(_add_noise(scale[:, :, None] * w.T[None] % q,
-                                 np.ones_like(scale), a, z, q))
+        rows = _rows(group)
+        block = _mask(params.alpha[rows], z, q)
+        block += params.cauchy[rows][:, :, None] * w.T
+        block %= q
+        blocks.append(_frozen(block))
     return ShareBank(blocks=tuple(blocks), noise=noise)
 
 
@@ -373,9 +412,11 @@ def generate_queries(config: AsymmConfig, params: SchemeParams,
     blocks = []
     for group, u, lam, z in zip(params.groups, params.u, coeffs.values, noise):
         a = params.alpha[_rows(group)]
-        plain = (u[:, None] * lam.T % q)[None].repeat(len(a), axis=0)
-        gap = (a[:, None] - params.f[None, :]) % q
-        blocks.append(_add_noise(plain, gap, a, z, q))
+        block = _mask(a, z, q)
+        block *= ((a[:, None] - params.f[None, :]) % q)[:, :, None]
+        block += u[:, None] * lam.T % q
+        block %= q
+        blocks.append(_frozen(block))
     return QueryBank(blocks=tuple(blocks), noise=noise)
 
 
@@ -400,19 +441,22 @@ def reconstruct(answers: Sequence[FieldElement],
 
     The weighted power sums V_i = sum_n alpha_n^i A_n (i < L) collapse
     to -sum_l f_l^i d_l once the interference vanishes, so d solves the
-    transposed-Vandermonde system at the f points.
+    transposed-Vandermonde system at the f points.  Its inverse is the
+    Lagrange basis at the f points: with U(x) = prod_k (x - f_k) and the
+    dual weights w_l = prod_{k != l} (f_l - f_k)^{-1},
+
+        d_l = -w_l sum_n A_n U(alpha_n) / (alpha_n - f_l),
+
+    the same linear map for any answers, without an elimination.
     """
     if len(answers) != len(params.alpha):
         raise DimensionMismatch("need exactly one answer per server")
     q = params.field.q
-    term = np.array([a.value for a in answers], dtype=np.int64)
-    sums = []
-    for _ in range(params.l_value):
-        sums.append(int(term.sum()) % q)
-        term = term * params.alpha % q
-    points = params.f.tolist()
-    rows = [[pow(f_l, i, q) for f_l in points] + [-s % q] for i, s in enumerate(sums)]
-    return tuple(params.field(d) for d in solve_mod(rows, q))
+    scaled = np.array([a.value for a in answers], dtype=np.int64)
+    scaled = scaled * _node_products(params.alpha, params.f, q) % q
+    sums = (scaled[:, None] * params.cauchy % q).sum(axis=0) % q
+    decoded = -_dual_weights(params.f, q) * sums % q
+    return tuple(params.field(int(d)) for d in decoded)
 
 
 def expected_combination(config: AsymmConfig, messages: MessageBank,
@@ -438,8 +482,7 @@ def dual_grs_weights(nodes: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
         raise DimensionMismatch("need at least two nodes")
     field = nodes[0].field
     points = np.array(vals, dtype=np.int64)
-    weights = _inverse(_node_products(points, points, field.q, skip_own=True), field.q)
-    return tuple(field(int(w)) for w in weights)
+    return tuple(field(int(w)) for w in _dual_weights(points, field.q))
 
 
 def cauchy_vandermonde_check(alpha_nodes: Sequence[FieldElement],
@@ -462,17 +505,18 @@ def cauchy_vandermonde_check(alpha_nodes: Sequence[FieldElement],
     if len(set(vals)) != len(vals):
         raise DuplicateNodes(f"evaluation points collide: {vals}")
     q = alpha_nodes[0].field.q
-    alpha, points = vals[:n], np.array(vals[:n], dtype=np.int64)
-    d_v = _node_products(points, points, q, skip_own=True).tolist()
-    d_u = _node_products(np.array(vals[n:], dtype=np.int64), points, q).tolist()
-    for f_j, u_j in zip(vals[n:], d_u):
-        # column j of V_alpha^{-1} V_f solves V_alpha x = (f_j^i)_i
-        column = solve_mod([[pow(a, i, q) for a in alpha] + [pow(f_j, i, q)]
-                            for i in range(n)], q)
-        scale = -pow(u_j, q - 2, q)
-        for a, d, x in zip(alpha, d_v, column):
-            if pow(a - f_j, q - 2, q) != d * x * scale % q:
-                return False
+    points, f = np.array(vals[:n], dtype=np.int64), np.array(vals[n:], dtype=np.int64)
+    # V_alpha . D_v^{-1} . C . D_u == -V_f, which is the factorization
+    # because V_alpha is invertible (its points are distinct); row i of
+    # the left side sums alpha_k^i times row k of D_v^{-1} C D_u
+    terms = (_dual_weights(points, q)[:, None] * _cauchy(points, f, q) % q
+             * _node_products(f, points, q) % q)
+    powers = np.ones(l, dtype=np.int64)
+    for _ in range(n):
+        if not np.array_equal(terms.sum(axis=0) % q, -powers % q):
+            return False
+        terms = terms * points[:, None] % q
+        powers = powers * f % q
     return True
 
 
@@ -481,10 +525,11 @@ def alignment_identity_check(params: SchemeParams, m: int, i: int, l: int) -> bo
     q = params.field.q
     f_l = int(params.f[l - 1])
     u_ml = int(params.u[m - 1, l - 1])
+    rows = _rows(params.group_of(m))
     acc = sum(
-        v * u_ml * pow(a, i - 1, q) * pow(a - f_l, q - 2, q)
-        for a, v in zip(params.alpha[_rows(params.group_of(m))].tolist(),
-                        params.v[m - 1].tolist())
+        v * u_ml * pow(a, i - 1, q) * c
+        for a, v, c in zip(params.alpha[rows].tolist(), params.v[m - 1].tolist(),
+                           params.cauchy[rows, l - 1].tolist())
     )
     return acc % q == -pow(f_l, i - 1, q) % q
 

@@ -118,3 +118,29 @@ def test_colliding_points_fail_the_sweep_under_optimization():
     head, violations = optimized.stdout.split("\n", 1)
     assert head.split() == ["1", "False", "2"]
     assert plain.stdout == f"0 False 2\n{violations}"
+
+
+def test_mixed_thresholds_decode_under_optimization():
+    # zero thresholds on one side of a set next to nonzero ones: under -O the
+    # closed-form decoder still matches the plaintext combination, and a short
+    # answer tuple still raises
+    code = (
+        "import sys\n"
+        "from gxstplc.errors import DimensionMismatch\n"
+        "from gxstplc.pattern import MessageSet, StoragePattern\n"
+        "from gxstplc.scheme import AsymmConfig, expected_combination, reconstruct, simulate\n"
+        "pattern = StoragePattern(6, (MessageSet((1, 2, 3, 4, 5), count=2),\n"
+        "                             MessageSet((2, 3, 4, 5, 6)),\n"
+        "                             MessageSet((1, 3, 4, 6), count=3)))\n"
+        "run = simulate(AsymmConfig(pattern, (0, 2, 1), (2, 0, 1)), 11)\n"
+        "decoded = reconstruct(run.transcript.answers, run.params)\n"
+        "print(sys.flags.optimize, run.params.l_value,\n"
+        "      decoded == expected_combination(run.config, run.messages, run.coeffs))\n"
+        "try:\n"
+        "    reconstruct(run.transcript.answers[:-1], run.params)\n"
+        "except DimensionMismatch:\n"
+        "    print('raised')\n"
+    )
+    result = run_python("-c", code)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["1", "2", "True", "raised"]

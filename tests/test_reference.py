@@ -5,7 +5,10 @@ residue-array code in gxstplc.scheme.  The reference draws every residue
 with its own generator call, keys shares and queries by (server, set)
 and noise by (set, depth, slot), and decodes by Gaussian elimination; the
 array code must agree with it on every constant, bank, block, answer and
-decoded symbol.
+decoded symbol.  Its decoder alone, reference_decode, checks the
+closed-form decoder of gxstplc.scheme.reconstruct on arbitrary answer
+vectors, and the node products taken one column at a time check the
+halving products behind setup's u and v.
 
 The dense Fraction-tableau simplex checks the fraction-free tableau of
 gxstplc.exactlp.simplex_min: both take the same Bland pivots, so they
@@ -80,6 +83,25 @@ def residue_stream(q, seed_sequence):
             yield raw % q
 
 
+def reference_decode(answers, alpha, f, q):
+    """The power sums V_i = sum_n alpha_n^i A_n (i < L), then the
+    transposed-Vandermonde system sum_l f_l^i d_l = -V_i by elimination."""
+    sums = [sum(pow(a, i, q) * ans for a, ans in zip(alpha, answers)) % q
+            for i in range(len(f))]
+    return solve_mod([[pow(p, i, q) for p in f] + [-s % q] for i, s in enumerate(sums)], q)
+
+
+def per_column_products(points, nodes, q, skip_own=False):
+    """prod over nodes of (p - node) mod q, one node column at a time."""
+    diff = (points[:, None] - nodes[None, :]) % q
+    if skip_own:
+        np.fill_diagonal(diff, 1)
+    out = np.ones(len(points), dtype=np.int64)
+    for column in diff.T:
+        out = out * column % q
+    return out
+
+
 def reference_round(config, q, seed):
     n_servers, l_value = config.n_servers, config.l_effective
     sets = range(1, config.m_count + 1)
@@ -135,9 +157,7 @@ def reference_round(config, q, seed):
             for m in sets if n in group[m]) % q
         for n in range(1, n_servers + 1)
     ]
-    sums = [sum(pow(a, i, q) * ans for a, ans in zip(alpha, answers)) % q
-            for i in range(l_value)]
-    decoded = solve_mod([[pow(p, i, q) for p in f] + [-s % q] for i, s in enumerate(sums)], q)
+    decoded = reference_decode(answers, alpha, f, q)
     expected = [sum(lam[(m, k, l)] * w[(m, k, l)] for m in sets
                     for k in range(1, count[m] + 1)) % q
                 for l in range(1, l_value + 1)]
@@ -210,6 +230,63 @@ def test_two_element_field_matches_reference():
     assert setup(config).field.q == 2
     for seed in range(5):
         assert_round_matches(config, seed)
+
+
+# sizes 2 and 40 in one pattern, a one-member group at x = t = 0, and zero
+# thresholds on one side of a set mixed with nonzero ones
+RAGGED = AsymmConfig(StoragePattern(40, (MessageSet((3, 17), count=2),
+                                         MessageSet(tuple(range(1, 41)), count=3))),
+                     (1, 2), (0, 2))
+SINGLE = AsymmConfig(StoragePattern(3, (MessageSet((2,)), MessageSet((1, 2, 3), count=2))),
+                     (0, 1), (0, 1))
+MIXED = AsymmConfig(StoragePattern(6, (MessageSet((1, 2, 3, 4, 5), count=2),
+                                       MessageSet((2, 3, 4, 5, 6)),
+                                       MessageSet((1, 3, 4, 6), count=3))),
+                    (0, 2, 1), (2, 0, 1))
+
+
+@pytest.mark.parametrize("config", [RAGGED, SINGLE, MIXED], ids=["ragged", "single", "mixed"])
+@pytest.mark.parametrize("field_override", [None, 2**31 - 1])
+def test_setup_matches_per_group_products(config, field_override):
+    params = setup(config, field_override)
+    q = params.field.q
+    alpha, f = params.alpha.tolist(), params.f.tolist()
+    for m, group in enumerate(params.groups):
+        points = params.alpha[np.asarray(group) - 1]
+        assert params.u[m].tolist() == per_column_products(params.f, points, q).tolist()
+        assert params.v[m].tolist() == [pow(int(p), q - 2, q) for p in
+                                        per_column_products(points, points, q, skip_own=True)]
+    assert params.cauchy.tolist() == [[pow(a - f_l, q - 2, q) for f_l in f] for a in alpha]
+
+
+@pytest.mark.parametrize("config", [RAGGED, SINGLE, MIXED], ids=["ragged", "single", "mixed"])
+@pytest.mark.parametrize("field_override", [None, 2**31 - 1])
+def test_masks_match_per_symbol_reference(config, field_override):
+    for seed in range(3):
+        assert_round_matches(config, seed, field_override)
+
+
+@st.composite
+def decode_cases(draw):
+    """(params, answers): any answer vector, L from 1 to N, default or overridden field."""
+    n = draw(st.integers(1, 12))
+    l_value = draw(st.integers(1, n))
+    config = AsymmConfig(StoragePattern(n, (MessageSet(tuple(range(1, n + 1))),)),
+                         (0,), (0,), l_value)
+    params = setup(config, draw(st.sampled_from((None, 101, 2**31 - 1))))
+    q = params.field.q
+    entry = st.one_of(st.integers(0, q - 1), st.sampled_from([0, 1, q - 1]))
+    return params, draw(st.lists(entry, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(decode_cases())
+def test_reconstruct_matches_reference_decode(case):
+    params, answers = case
+    q = params.field.q
+    decoded = reconstruct(tuple(params.field(a) for a in answers), params)
+    assert [d.value for d in decoded] == reference_decode(answers, params.alpha.tolist(),
+                                                          params.f.tolist(), q)
 
 
 def reference_simplex(lp: LinearProgram) -> tuple[LpSolution, list[Fraction]]:
@@ -540,7 +617,8 @@ def test_solve_mod_matches_list_eliminator(case):
 
 
 def test_solve_mod_at_decode_size():
-    # reconstruct's L x L system at L = 68 over the largest supported prime
+    # an L x L system of the size reference_decode solves at L = 68 (reconstruct
+    # inverts it in closed form), over the largest supported prime
     q = 2**31 - 1
     rng = random.Random(68)
     rows = [[rng.choice([q - 1, rng.randrange(q)]) for _ in range(69)] for _ in range(68)]
