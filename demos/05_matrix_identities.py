@@ -11,7 +11,6 @@ over any prime field; this script shows them concretely in F_11.
 from gxstplc import (
     AsymmConfig,
     MessageSet,
-    PrimeField,
     StoragePattern,
     alignment_identity_check,
     cauchy_vandermonde_check,
@@ -19,25 +18,25 @@ from gxstplc import (
     setup,
 )
 
-field = PrimeField(11)
-nodes = [field(2), field(5), field(6), field(9)]
-weights = dual_grs_weights(nodes)
-print("nodes:  ", [a.value for a in nodes])
-print("weights:", [w.value for w in weights])
+q = 11
+nodes = [2, 5, 6, 9]
+weights = dual_grs_weights(nodes, q)
+print("nodes:  ", nodes)
+print("weights:", list(weights))
 
 # sum_i v_i a_i^j vanishes for every j up to n-2, then jumps to 1
 for j in range(len(nodes)):
-    total = sum((w * a**j for w, a in zip(weights, nodes)), field.zero)
-    print(f"  power sum at degree {j}: {total.value}")
+    total = sum(w * pow(a, j, q) for w, a in zip(weights, nodes)) % q
+    print(f"  power sum at degree {j}: {total}")
 
 # the Cauchy block [1/(a_i - f_j)] factors through Vandermonde parts:
 # C = -D_v . V_alpha^{-1} . V_f . D_u^{-1}
-alpha = [field(1), field(2), field(3), field(4)]
-f_pts = [field(7), field(8)]
+alpha = [1, 2, 3, 4]
+f_pts = [7, 8]
 print("\nCauchy factorization over F_11 with four alpha and two f points:",
-      cauchy_vandermonde_check(alpha, f_pts))
+      cauchy_vandermonde_check(alpha, f_pts, q))
 
-cauchy = [[(a - f).inverse().value for f in f_pts] for a in alpha]
+cauchy = [[pow(a - f, q - 2, q) for f in f_pts] for a in alpha]
 print("the Cauchy block itself:", cauchy)
 
 # the same cancellation, as the decoder uses it: summing v u a^{i-1}

@@ -9,10 +9,6 @@ class DuplicateNodes(GxstplcError):
     """Evaluation points that must be distinct collide."""
 
 
-class SingularMatrix(GxstplcError):
-    """A square system has no unique solution."""
-
-
 class Infeasible(GxstplcError):
     """The linear program has no feasible point."""
 
@@ -47,10 +43,6 @@ class DimensionMismatch(GxstplcError):
 
 class UnknownDemo(GxstplcError):
     """No built-in demo is registered under the requested name."""
-
-
-class FieldMismatch(GxstplcError):
-    """Elements of different prime fields were combined."""
 
 
 class MalformedPattern(GxstplcError, ValueError):

@@ -30,12 +30,14 @@ set m: message and coefficient banks are [K_m, L], noise is
 rows in the order of servers_of(m).  Every product is reduced mod q
 before it meets another product, so an intermediate value is at most
 one product plus a sum of residues, and nothing overflows for any q
-below ``ff.MAX_MODULUS``.  FieldElements appear only in the transcript,
-in ``expected_combination`` and in the lemma checks.
+below ``ff.MAX_MODULUS``.  FieldElements appear only in the transcript
+and in ``expected_combination``; the lemma checks take and return plain
+integers.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Sequence
@@ -51,7 +53,7 @@ from .errors import (
     FieldTooSmall,
     InvariantViolation,
 )
-from .ff import FieldElement, PrimeField, smallest_prime_at_least
+from .ff import FieldElement, PrimeField, check_modulus, smallest_prime_at_least
 from .pattern import StoragePattern
 
 
@@ -469,28 +471,28 @@ def expected_combination(config: AsymmConfig, messages: MessageBank,
     return tuple(field(int(e)) for e in acc)
 
 
-def dual_grs_weights(nodes: Sequence[FieldElement]) -> tuple[FieldElement, ...]:
-    """Weights v_i = prod_{j != i} (a_i - a_j)^{-1}.
+def dual_grs_weights(nodes: Sequence[int], q: int) -> tuple[int, ...]:
+    """Weights v_i = prod_{j != i} (a_i - a_j)^{-1} mod the prime q.
 
     These annihilate every power sum of degree at most len(nodes) - 2:
-    sum_i v_i a_i^j = 0.  At least two distinct nodes are required.
+    sum_i v_i a_i^j = 0.  At least two distinct nodes are required, as
+    integers (a float raises TypeError).
     """
-    vals = [e.value for e in nodes]
+    check_modulus(q)
+    vals = [operator.index(a) % q for a in nodes]
     if len(set(vals)) != len(vals):
         raise DuplicateNodes(f"nodes collide: {vals}")
     if len(vals) < 2:
         raise DimensionMismatch("need at least two nodes")
-    field = nodes[0].field
-    points = np.array(vals, dtype=np.int64)
-    return tuple(field(int(w)) for w in _dual_weights(points, field.q))
+    return tuple(_dual_weights(np.array(vals, dtype=np.int64), q).tolist())
 
 
-def cauchy_vandermonde_check(alpha_nodes: Sequence[FieldElement],
-                             f_nodes: Sequence[FieldElement]) -> bool:
+def cauchy_vandermonde_check(alpha_nodes: Sequence[int], f_nodes: Sequence[int],
+                             q: int) -> bool:
     """Verify the factorization of a Cauchy block through Vandermonde parts.
 
-    For n alpha-points and l <= n f-points, all distinct, the n x l
-    Cauchy matrix [1/(a_i - f_j)] equals
+    For n alpha-points and l <= n f-points, all distinct mod the prime q,
+    the n x l Cauchy matrix [1/(a_i - f_j)] equals
 
         -D_v . V_alpha^{-1} . V_f . D_u^{-1}
 
@@ -498,13 +500,13 @@ def cauchy_vandermonde_check(alpha_nodes: Sequence[FieldElement],
     their inverses), V_f the f-point Vandermonde of height n, and D_u
     the diagonal of u_j = prod_i (f_j - a_i).
     """
+    check_modulus(q)
     n, l = len(alpha_nodes), len(f_nodes)
     if not n >= l >= 1:
         raise DimensionMismatch(f"need n >= l >= 1 points, got n={n}, l={l}")
-    vals = [e.value for e in alpha_nodes] + [e.value for e in f_nodes]
+    vals = [operator.index(a) % q for a in (*alpha_nodes, *f_nodes)]
     if len(set(vals)) != len(vals):
         raise DuplicateNodes(f"evaluation points collide: {vals}")
-    q = alpha_nodes[0].field.q
     points, f = np.array(vals[:n], dtype=np.int64), np.array(vals[n:], dtype=np.int64)
     # V_alpha . D_v^{-1} . C . D_u == -V_f, which is the factorization
     # because V_alpha is invertible (its points are distinct); row i of

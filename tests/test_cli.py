@@ -207,6 +207,13 @@ class TestLemmas:
         _, second, _ = run_cli(capsys, "lemmas", "--seed", "9", "--trials", "10")
         assert first == second
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_rejected(self, capsys, trials):
+        code, out, err = run_cli(capsys, "lemmas", "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert "--trials must be at least 1" in err
+
 
 class TestDemo:
     @pytest.mark.parametrize("name", demo_names())

@@ -30,33 +30,22 @@ def test_demo_scripts_run_optimized():
     assert failures == {}
 
 
-def test_mixed_fields_raise_under_optimization():
+def test_lemma_checks_reject_a_composite_modulus_under_optimization():
+    # check_modulus is a plain if: under -O both lemma checks still refuse q = 12
     code = (
         "import sys\n"
-        "from gxstplc.errors import FieldMismatch\n"
-        "from gxstplc.ff import PrimeField\n"
+        "from gxstplc.scheme import cauchy_vandermonde_check, dual_grs_weights\n"
         "assert False, 'asserts are live'\n"
-        "try:\n"
-        "    PrimeField(5)(3) + PrimeField(7)(3)\n"
-        "except FieldMismatch:\n"
-        "    print('raised', sys.flags.optimize)\n"
+        "for check, args in ((dual_grs_weights, ([1, 2, 3],)),\n"
+        "                    (cauchy_vandermonde_check, ([1, 2, 3], [4, 5]))):\n"
+        "    try:\n"
+        "        check(*args, 12)\n"
+        "    except ValueError:\n"
+        "        print('raised', sys.flags.optimize)\n"
     )
     result = run_python("-c", code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["raised", "1"]
-
-
-def test_negative_power_raises_under_optimization():
-    code = (
-        "from gxstplc.ff import PrimeField\n"
-        "try:\n"
-        "    print(PrimeField(7)(3) ** -1)\n"
-        "except ValueError:\n"
-        "    print('raised')\n"
-    )
-    result = run_python("-c", code)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["raised"]
+    assert result.stdout.split() == ["raised", "1", "raised", "1"]
 
 
 @pytest.mark.parametrize("pattern", ["six_server", "fourteen_server"])

@@ -16,13 +16,14 @@ must return the same optimum, vertex, basis and pivot and bound-flip
 counts, on the int64 tableau and after it turns into Python ints.
 
 A list-of-lists eliminator (normalized pivots, one matrix at a time)
-checks the stacked int64 kernel behind gxstplc.ff.rank_mod and
-solve_mod, and the closed-form noise ranks of gxstplc.audit.  On top of
-it, the audits written one subset and one set at a time (the rank
-certificate per subset, the exhaustive enumeration by itertools.product
-into a dict of counts) check the closed-form sweeps and the blocked
-enumeration of gxstplc.audit: every report must be equal, counts,
-violations in order with their details, and notes.
+checks the fraction-free int64 elimination of gxstplc.ff.pivot_columns
+and the closed-form noise ranks of gxstplc.audit, and solves
+reference_decode's systems.  On top of it, the audits written one
+subset and one set at a time (the rank certificate per subset, the
+exhaustive enumeration by itertools.product into a dict of counts)
+check the closed-form sweeps and the blocked enumeration of
+gxstplc.audit: every report must be equal, counts, violations in order
+with their details, and notes.
 """
 
 import contextlib
@@ -53,9 +54,9 @@ from gxstplc.audit import (
 from gxstplc.augment import generate_augmented_system
 from gxstplc.capacity import asymptotic_capacity, build_capacity_lp
 from gxstplc.demos import GRAPH_FOURTEEN, GRAPH_SIX, UNEVEN_NINE, UNEVEN_SEVEN
-from gxstplc.errors import Infeasible, SingularMatrix, Unbounded
+from gxstplc.errors import Infeasible, Unbounded
 from gxstplc.exactlp import LinearProgram, LpSolution, simplex_min
-from gxstplc.ff import PrimeField, rank_mod, solve_mod
+from gxstplc.ff import PrimeField, pivot_columns
 from gxstplc.pattern import min_replication_slack
 from gxstplc.pattern import MessageSet, StoragePattern
 from gxstplc.scheme import (
@@ -88,7 +89,7 @@ def reference_decode(answers, alpha, f, q):
     transposed-Vandermonde system sum_l f_l^i d_l = -V_i by elimination."""
     sums = [sum(pow(a, i, q) * ans for a, ans in zip(alpha, answers)) % q
             for i in range(len(f))]
-    return solve_mod([[pow(p, i, q) for p in f] + [-s % q] for i, s in enumerate(sums)], q)
+    return reference_solve([[pow(p, i, q) for p in f] + [-s % q] for i, s in enumerate(sums)], q)
 
 
 def per_column_products(points, nodes, q, skip_own=False):
@@ -557,7 +558,7 @@ def reference_solve(rows: list[list[int]], q: int) -> list[int]:
     n = len(rows)
     rows, pivots = reference_eliminate(rows, q)
     if pivots != list(range(n)):
-        raise SingularMatrix("coefficient matrix is singular")
+        raise ValueError("coefficient matrix is singular")
     return [row[n] for row in rows]
 
 
@@ -565,64 +566,27 @@ PRIMES = (2, 3, 5, 7, 2**31 - 1)
 
 
 @st.composite
-def residue_stacks(draw):
-    """(q, stack): up to five matrices of one shape, entries often at or near q."""
+def residue_matrices(draw):
+    """(q, matrix): an r x c int64 array, r and c from 0 to 6, entries often at or near q."""
     q = draw(st.sampled_from(PRIMES))
-    b, r, c = draw(st.integers(1, 5)), draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     entry = st.one_of(st.integers(0, q - 1), st.sampled_from([0, 1, q - 2, q - 1]),
                       st.integers(-q, 2 * q))
-    stack = draw(st.lists(st.lists(st.lists(entry, min_size=c, max_size=c),
-                                   min_size=r, max_size=r), min_size=b, max_size=b))
-    return q, stack
+    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
+    return q, np.array(rows, dtype=np.int64).reshape(r, c)
 
 
 @settings(max_examples=300, deadline=None)
-@given(residue_stacks())
-def test_rank_mod_matches_list_eliminator(case):
-    q, stack = case
-    expected = [reference_rank(matrix, q) for matrix in stack]
-    if len(stack[0]) and len(stack[0][0]):
-        array = np.array(stack, dtype=np.int64)
-        before = array.copy()
-        assert rank_mod(array, q).tolist() == expected
-        assert np.array_equal(array, before)  # the input is left alone
-    for matrix, rank in zip(stack, expected):
-        copy = [list(row) for row in matrix]
-        assert rank_mod(matrix, q) == rank
-        assert matrix == copy
-
-
-@st.composite
-def square_systems(draw):
-    q = draw(st.sampled_from(PRIMES))
-    n = draw(st.integers(1, 6))
-    entry = st.one_of(st.integers(0, q - 1), st.sampled_from([0, 1, q - 1]))
-    return q, draw(st.lists(st.lists(entry, min_size=n + 1, max_size=n + 1),
-                            min_size=n, max_size=n))
-
-
-@settings(max_examples=300, deadline=None)
-@given(square_systems())
-def test_solve_mod_matches_list_eliminator(case):
-    q, rows = case
-    copy = [list(row) for row in rows]
-    try:
-        expected = reference_solve(rows, q)
-    except SingularMatrix:
-        with pytest.raises(SingularMatrix):
-            solve_mod(rows, q)
-    else:
-        assert solve_mod(rows, q) == expected
-    assert rows == copy
-
-
-def test_solve_mod_at_decode_size():
-    # an L x L system of the size reference_decode solves at L = 68 (reconstruct
-    # inverts it in closed form), over the largest supported prime
-    q = 2**31 - 1
-    rng = random.Random(68)
-    rows = [[rng.choice([q - 1, rng.randrange(q)]) for _ in range(69)] for _ in range(68)]
-    assert solve_mod(rows, q) == reference_solve(rows, q)
+@given(residue_matrices())
+@example((2**31 - 1, np.array([[2**31 - 2, 2**31 - 3], [2**31 - 3, 2**31 - 2]])))
+def test_pivot_columns_match_list_eliminator(case):
+    q, matrix = case
+    before = matrix.copy()
+    expected = reference_eliminate(matrix.tolist(), q)[1]
+    assert pivot_columns(matrix, q) == expected
+    assert np.array_equal(matrix, before)  # the input is left alone
+    if len(matrix):  # as nested lists too; [] has no column count
+        assert pivot_columns(matrix.tolist(), q) == expected
 
 
 # -- audits --------------------------------------------------------------------

@@ -102,10 +102,9 @@ class TestSetup:
 
     def test_group_constants(self):
         params = setup(AsymmConfig.uniform(TRIPLE, 0, 0))
-        field = params.field
         # u_{1,1} = (4-1)(4-2)(4-3) and v_{1,1} = ((1-2)(1-3))^{-1} in F_7
         assert params.u[0, 0] == 6
-        assert params.v[0][0] == field(2).inverse().value
+        assert params.v[0][0] == pow(2, 5, 7) == 4
         assert params.group_of(1) == (1, 2, 3)
 
     def test_override_accepted(self):
@@ -247,7 +246,7 @@ class TestAnswers:
         shares = encode_storage(config, params, messages, 22)
         queries = generate_queries(config, params, coeffs, 23)
         answers = collect_answers(config, params, shares, queries)
-        assert answers[2] == params.field.zero
+        assert answers[2] == params.field(0)
         assert reconstruct(answers, params) == expected_combination(
             config, messages, coeffs
         )
@@ -266,7 +265,7 @@ class TestAnswers:
         config = AsymmConfig(PAIR, (0,), (0,))
         params = setup(config)
         with pytest.raises(DimensionMismatch):
-            reconstruct((params.field.zero,), params)
+            reconstruct((params.field(0),), params)
 
 
 class TestRoundTrip:
@@ -351,68 +350,69 @@ class TestStorage:
 
 class TestIdentities:
     def test_dual_grs_power_sums_vanish(self):
-        field = PrimeField(13)
-        for nodes in itertools.combinations(range(13), 4):
-            elems = [field(v) for v in nodes]
-            weights = dual_grs_weights(elems)
-            for j in range(len(elems) - 1):
-                total = sum(
-                    (w * a**j for w, a in zip(weights, elems)), field.zero
-                )
-                assert total == field.zero
+        q = 13
+        for nodes in itertools.combinations(range(q), 4):
+            weights = dual_grs_weights(nodes, q)
+            for j in range(len(nodes) - 1):
+                total = sum(w * pow(a, j, q) for w, a in zip(weights, nodes)) % q
+                assert total == 0
             # degree n-1 is the first power sum that survives, always as 1
-            top = sum(
-                (w * a ** (len(elems) - 1) for w, a in zip(weights, elems)),
-                field.zero,
-            )
-            assert top == field.one
+            top = sum(w * pow(a, len(nodes) - 1, q) for w, a in zip(weights, nodes)) % q
+            assert top == 1
 
     def test_dual_grs_rejects_duplicates(self):
-        field = PrimeField(11)
         with pytest.raises(DuplicateNodes):
-            dual_grs_weights([field(1), field(12)])
+            dual_grs_weights([1, 12], 11)
 
     def test_cauchy_vandermonde_examples(self):
-        field = PrimeField(11)
-        assert cauchy_vandermonde_check([field(1)], [field(2)])
-        assert cauchy_vandermonde_check(
-            [field(1), field(2), field(3)], [field(4), field(5)]
-        )
+        assert cauchy_vandermonde_check([1], [2], 11)
+        assert cauchy_vandermonde_check([1, 2, 3], [4, 5], 11)
 
     def test_cauchy_vandermonde_random(self):
         rng = random.Random(5502)
         for _ in range(40):
             q = rng.choice((11, 59, 101))
-            field = PrimeField(q)
             n = rng.randint(2, 8)
             l = rng.randint(1, min(n, q - n))
             points = rng.sample(range(q), n + l)
-            assert cauchy_vandermonde_check(
-                [field(v) for v in points[:n]], [field(v) for v in points[n:]]
-            )
+            assert cauchy_vandermonde_check(points[:n], points[n:], q)
 
     def test_dual_grs_needs_two_nodes(self):
         with pytest.raises(DimensionMismatch):
-            dual_grs_weights([PrimeField(11)(3)])
+            dual_grs_weights([3], 11)
 
     def test_cauchy_vandermonde_needs_enough_alpha_points(self):
-        field = PrimeField(11)
         with pytest.raises(DimensionMismatch):
-            cauchy_vandermonde_check([field(1)], [field(2), field(3)])
+            cauchy_vandermonde_check([1], [2, 3], 11)
         with pytest.raises(DimensionMismatch):
-            cauchy_vandermonde_check([field(1)], [])
+            cauchy_vandermonde_check([1], [], 11)
 
     def test_cauchy_vandermonde_rejects_collisions(self):
-        field = PrimeField(11)
         with pytest.raises(DuplicateNodes):
-            cauchy_vandermonde_check([field(1), field(2)], [field(1)])
+            cauchy_vandermonde_check([1, 2], [1], 11)
+        with pytest.raises(DuplicateNodes):
+            cauchy_vandermonde_check([1, 2], [13], 11)
+
+    @pytest.mark.parametrize("q,message", [(12, "must be prime"),
+                                           (2147483659, "exceeds the supported bound")],
+                             ids=["composite", "oversized"])
+    def test_lemma_checks_reject_a_bad_modulus(self, q, message):
+        with pytest.raises(ValueError, match=message):
+            dual_grs_weights([1, 2, 3], q)
+        with pytest.raises(ValueError, match=message):
+            cauchy_vandermonde_check([1, 2, 3], [4, 5], q)
+
+    def test_lemma_checks_reject_non_integer_points(self):
+        with pytest.raises(TypeError):
+            dual_grs_weights([1, 2.5], 11)
+        with pytest.raises(TypeError):
+            cauchy_vandermonde_check([1, 2], [3.0], 11)
+        assert dual_grs_weights(np.array([1, 2]), 11) == dual_grs_weights([1, 2], 11)
 
     def test_cauchy_vandermonde_detects_a_wrong_factor(self, monkeypatch):
-        field = PrimeField(11)
-        alpha, f = [field(1), field(2), field(3)], [field(4), field(5)]
         exact = scheme._node_products
         monkeypatch.setattr(scheme, "_node_products", lambda *a, **k: exact(*a, **k) + 1)
-        assert not cauchy_vandermonde_check(alpha, f)
+        assert not cauchy_vandermonde_check([1, 2, 3], [4, 5], 11)
 
     def test_alignment_identity_full_range(self):
         config = AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2))

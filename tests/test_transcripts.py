@@ -4,7 +4,8 @@ symbols, whatever the protocol code's internal representation.
 The digests are SHA-256 of the compact JSON {"answers": [...],
 "decoded": [...]} of residues, for the four built-in demos at seeds 0-2
 and for UNEVEN_NINE over the field of 2**31 - 1.  The audit command's
-whole stdout is pinned the same way, whatever the audits' kernels.
+whole stdout is pinned the same way, whatever the audits' kernels, and
+so is the lemmas command's, whatever the lemma checks' arithmetic.
 """
 
 import hashlib
@@ -79,3 +80,13 @@ def test_audit_stdout_digest(name, tmp_path, capsys):
     assert main(["audit", "--pattern", str(path), *args]) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_AUDITS[name]
+
+
+# SHA-256 of the stdout of `gxstplc lemmas --seed 0 --trials 100`
+PINNED_LEMMAS = "0058fa5cb5ee4836b491017eb9567701236abdaa9bb081aeed09e5d93cc18778"
+
+
+def test_lemmas_stdout_digest(capsys):
+    assert main(["lemmas", "--seed", "0", "--trials", "100"]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_LEMMAS
