@@ -12,9 +12,11 @@ f_l.  So a sweep checks each group once: when its points are distinct
 and (for queries) avoid every f point, every subset up to the threshold
 passes, and subsets are walked only for a group that fails the check,
 to name its violations.  The exhaustive audit is the slow ground truth:
-it enumerates every realization of messages and noise over a tiny
-field, in blocks of int64 assignments, and verifies that every
-observation of the colluders occurs with every secret assignment.
+it reads the colluders' observations off the protocol itself, probing
+encode_storage and generate_queries with one unit vector per secret and
+noise variable, then enumerates every realization of those variables
+over a tiny field, in blocks of int64 assignments, and verifies that
+every observation of the colluders occurs with every secret assignment.
 """
 
 from __future__ import annotations
@@ -23,14 +25,23 @@ import itertools
 import random
 from collections.abc import Collection
 from dataclasses import dataclass
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
 from .augment import AugmentedSystem
 from .errors import DimensionMismatch, ScaleExceeded
 from .ff import pivot_columns
-from .scheme import AsymmConfig, SchemeParams, virtual_config
+from .scheme import (
+    AsymmConfig,
+    CoefficientBank,
+    MessageBank,
+    SchemeParams,
+    _shapes,
+    encode_storage,
+    generate_queries,
+    virtual_config,
+)
 
 _EXHAUSTIVE_CELL_CAP = 10**7
 _EXHAUSTIVE_SUBSET_CAP = 5000
@@ -69,11 +80,11 @@ def _report(mode: str, checked: int, violations: list[Violation],
 
 @dataclass(frozen=True)
 class _Side:
-    """One protected side of the scheme, described once for every audit.
+    """One protected side of the scheme, as the rank certificates model it.
 
-    A server at point a adds storage noise with coefficients a^d (d < x_m)
-    and carries secret symbol l as 1/(a - f_l); its query noise has
-    coefficients (a - f_l) a^d (d < t_m) at slot l, its secret u_{m,l}.
+    A server at point a adds storage noise with coefficients a^d (d < x_m);
+    its query noise has coefficients (a - f_l) a^d (d < t_m) at slot l.
+    The exhaustive audit assumes none of this: it probes the protocol.
     """
 
     name: str         # "storage" or "query", the prefix of violation details
@@ -83,17 +94,6 @@ class _Side:
 
     def threshold(self, config: AsymmConfig, m: int) -> int:
         return (config.x_vec if self.name == "storage" else config.t_vec)[m - 1]
-
-    def noise(self, params: SchemeParams, points: np.ndarray, depth: int) -> np.ndarray:
-        """Noise coefficients of servers at the given points, of shape
-        points.shape + (slots, depth)."""
-        q = params.field.q
-        powers = np.ones(points.shape + (1, depth), dtype=np.int64)
-        for d in range(1, depth):
-            powers[..., d] = powers[..., d - 1] * points[..., None] % q
-        if self.name == "storage":
-            return powers
-        return ((points[..., None] - params.f) % q)[..., None] * powers % q
 
     def ranks(self, params: SchemeParams, servers: Collection[int]) -> list[int]:
         """Per slot, the distinct points of the servers, off f_l for queries:
@@ -106,12 +106,6 @@ class _Side:
     def clear(self, params: SchemeParams, servers: Collection[int]) -> bool:
         """True iff every subset of at most depth of the servers passes."""
         return all(rank == len(servers) for rank in self.ranks(params, servers))
-
-    def secret(self, params: SchemeParams, a: int, m: int, l: int) -> int:
-        q = params.field.q
-        if self.name == "storage":
-            return pow(a - int(params.f[l - 1]), q - 2, q)
-        return int(params.u[m - 1, l - 1])
 
 
 _SIDES = {side.name: side for side in (
@@ -161,60 +155,61 @@ def privacy_rank_certificate(config: AsymmConfig, params: SchemeParams,
     return _certificate(config, params, subset, "query")
 
 
+def _variable_shapes(config: AsymmConfig, params: SchemeParams,
+                     side: str) -> tuple[tuple[int, ...], ...]:
+    """Shapes of the arrays one side is linear in: every set's secret
+    bank [K_m, L], then every set's noise [depth_m, L, K_m]."""
+    depths = [_SIDES[side].threshold(config, m) for m in range(1, config.m_count + 1)]
+    return _shapes(config, params.l_value) + _shapes(config, params.l_value, depths)
+
+
+def _probed_forms(config: AsymmConfig, params: SchemeParams,
+                  subset: tuple[int, ...], side: str) -> np.ndarray:
+    """The linear forms the servers of the subset observe, read off the
+    protocol: encode_storage or generate_queries runs once per unit vector
+    of the variables, and each run gives one column of the forms.
+
+    Columns follow the C-order flattening of the _variable_shapes arrays
+    (secrets (m, k, l), then noise (m, d, l, k)); rows follow the sorted
+    servers, then the sets each hosts, then [l, k] of its block.
+    """
+    shapes = _variable_shapes(config, params, side)
+    sizes = [prod(shape) for shape in shapes]
+    protocol, bank = ((encode_storage, MessageBank) if side == "storage"
+                      else (generate_queries, CoefficientBank))
+    held = [(m, group.index(n)) for n in sorted(subset)
+            for m, group in enumerate(params.groups) if n in group]
+    columns = []
+    for unit in np.eye(sum(sizes), dtype=np.int64):
+        parts = [part.reshape(shape)
+                 for part, shape in zip(np.split(unit, np.cumsum(sizes)[:-1]), shapes)]
+        blocks = protocol(config, params, bank(params.field, tuple(parts[:config.m_count])),
+                          noise=parts[config.m_count:]).blocks
+        columns.append(np.fromiter(itertools.chain.from_iterable(
+            blocks[m][r].flat for m, r in held), dtype=np.int64))
+    return np.array(columns).T
+
+
 def _independence_side(config: AsymmConfig, params: SchemeParams,
                        subset: tuple[int, ...], side: str,
                        max_cells: int) -> tuple[int, str | None]:
     """Enumerate one side exhaustively; returns (cells, failure detail).
 
-    Observed symbols are linear forms in (secrets, noise); the audit
-    counts every joint realization and demands that each observation
-    tuple appear the same number of times for every secret assignment,
-    with nothing assumed about how the forms were built.
+    Observed symbols are linear forms in (secrets, noise), probed from
+    the protocol; the audit counts every joint realization and demands
+    that each observation tuple appear the same number of times for
+    every secret assignment, with nothing assumed about how the forms
+    were built.
     """
     q = params.field.q
-    l_value = params.l_value
-    spec = _SIDES[side]
-
-    secret_index: dict[tuple[int, int, int], int] = {}
-    for m in range(1, config.m_count + 1):
-        for k in range(1, config.pattern.count_of(m) + 1):
-            for l in range(1, l_value + 1):
-                secret_index[(m, k, l)] = len(secret_index)
-    noise_index: dict[tuple[int, int, int, int], int] = {}
-    for m in range(1, config.m_count + 1):
-        for d in range(1, spec.threshold(config, m) + 1):
-            for l in range(1, l_value + 1):
-                for k in range(1, config.pattern.count_of(m) + 1):
-                    noise_index[(m, d, l, k)] = len(noise_index)
-
-    n_secret = len(secret_index)
-    n_vars = n_secret + len(noise_index)
-    cells = q ** n_vars
+    sizes = [prod(shape) for shape in _variable_shapes(config, params, side)]
+    cells = q ** sum(sizes)
     if cells > max_cells:
         raise ScaleExceeded(
             f"{side} side needs {cells} joint realizations (cap {max_cells})"
         )
-
-    # one row per observed symbol: its coefficients on the variables of
-    # an assignment (secrets first, then noise)
-    forms: list[np.ndarray] = []
-    for n in sorted(subset):
-        a_n = int(params.alpha[n - 1])
-        for m in range(1, config.m_count + 1):
-            if n not in config.pattern.servers_of(m):
-                continue
-            rows = spec.noise(params, np.array(a_n), spec.threshold(config, m))
-            for l in range(1, l_value + 1):
-                secret_coeff = spec.secret(params, a_n, m, l)
-                noise_coeffs = rows[min(l, len(rows)) - 1]  # storage: one row for all slots
-                for k in range(1, config.pattern.count_of(m) + 1):
-                    form = np.zeros(n_vars, dtype=np.int64)
-                    form[secret_index[(m, k, l)]] = secret_coeff
-                    for d, c in enumerate(noise_coeffs, start=1):
-                        form[n_secret + noise_index[(m, d, l, k)]] = c
-                    forms.append(form)
-    observed = _uneven_observation(np.array(forms, dtype=np.int64).reshape(-1, n_vars),
-                                   n_secret, q)
+    observed = _uneven_observation(_probed_forms(config, params, subset, side),
+                                   sum(sizes[:config.m_count]), q)
     if observed is None:
         return cells, None
     return cells, f"{side}: observation {observed} misses some secrets"

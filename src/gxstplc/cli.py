@@ -134,6 +134,8 @@ def _field_elements(values) -> list[int]:
 def _cmd_simulate(args) -> tuple[dict, bool]:
     p = load_pattern(args.pattern)
     direct = args.x_vec is not None or args.t_vec is not None
+    if direct and (args.x is not None or args.t is not None):
+        raise ValueError("give either --x and --t, or --x-vec and --t-vec, not both")
     if direct:
         if args.x_vec is None or args.t_vec is None:
             raise ValueError("--x-vec and --t-vec must be given together")

@@ -134,6 +134,16 @@ class TestSimulate:
         assert code == 2
         assert "error:" in err
 
+    def test_mixed_threshold_modes_rejected(self, capsys, six_json):
+        # the scalar thresholds used to be dropped in favour of the vectors
+        code, out, err = run_cli(
+            capsys, "simulate", "--pattern", six_json, "--x", "1", "--t", "1",
+            "--x-vec", "1,1", "--t-vec", "0,0",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--x and --t" in err and "--x-vec and --t-vec" in err
+
     def test_no_thresholds_rejected(self, capsys, nine_json):
         code, _, err = run_cli(capsys, "simulate", "--pattern", nine_json)
         assert code == 2

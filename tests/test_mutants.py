@@ -1,0 +1,78 @@
+"""Source mutations that the product's own checks must reject.
+
+Each mutant is an exact (file, old text, new text) edit of the package,
+and its old text must occur exactly once, so a refactor that moves the
+text fails here instead of silently dropping the mutant.  The test
+applies the edit to a temporary copy of the package and runs one CLI
+command on it in a subprocess, on a pattern that no test pins: the run
+must exit 1 from the check the entry names.  A changed digest or a
+wrong number in the output does not count; the product has to notice by
+itself.  The same command on the unmutated copy exits 0, so the failure
+is the mutant's.
+"""
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from dataclasses import dataclass
+from pathlib import Path
+
+import pytest
+
+from gxstplc.pattern import MessageSet, StoragePattern, save_pattern
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gxstplc"
+TRIANGLE = StoragePattern(3, (MessageSet((1, 2, 3)),))
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str                # relative to the package
+    old: str
+    new: str
+    argv: tuple[str, ...]    # the CLI command, after --pattern <file>
+    check: str               # the payload entry whose failure kills the mutant
+
+
+MUTANTS = (
+    # every storage noise term at a^0: the servers of a set share one mask
+    Mutant("constant-storage-points", "scheme.py",
+           "block = _mask(params.alpha[rows], z, q)",
+           "block = _mask(np.ones_like(params.alpha[rows]), z, q)",
+           ("--x", "2", "--t", "0", "--exhaustive"), "exhaustive"),
+    # the query-side twin: every query noise term at (a - f_l) a^0
+    Mutant("constant-query-points", "scheme.py",
+           "block = _mask(a, z, q)",
+           "block = _mask(np.ones_like(a), z, q)",
+           ("--x", "0", "--t", "2", "--exhaustive"), "exhaustive"),
+)
+
+
+def run_audit(package: Path, argv: tuple[str, ...]) -> subprocess.CompletedProcess:
+    pattern = package.parent / "pattern.json"
+    save_pattern(TRIANGLE, pattern)
+    env = {**os.environ, "PYTHONPATH": str(package.parent)}
+    return subprocess.run(
+        [sys.executable, "-m", "gxstplc", "audit", "--pattern", str(pattern), *argv],
+        capture_output=True, text=True, env=env, cwd=package.parent, timeout=60,
+    )
+
+
+@pytest.mark.parametrize("mutant", MUTANTS, ids=lambda mutant: mutant.name)
+def test_product_rejects_mutant(mutant, tmp_path):
+    source = (PACKAGE / mutant.path).read_text()
+    assert source.count(mutant.old) == 1, f"{mutant.name}: mutation site moved"
+    copy = tmp_path / "gxstplc"
+    shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+
+    clean = run_audit(copy, mutant.argv)
+    assert clean.returncode == 0, clean.stderr
+
+    (copy / mutant.path).write_text(source.replace(mutant.old, mutant.new))
+    run = run_audit(copy, mutant.argv)
+    assert run.returncode == 1, run.stderr
+    entries = json.loads(run.stdout)[mutant.check]
+    assert any(not entry["passed"] for entry in entries)

@@ -23,7 +23,10 @@ subset and one set at a time (the rank certificate per subset, the
 exhaustive enumeration by itertools.product into a dict of counts)
 check the closed-form sweeps and the blocked enumeration of
 gxstplc.audit: every report must be equal, counts, violations in order
-with their details, and notes.
+with their details, and notes.  The enumeration's observed forms are
+built from the scheme's formulas (reference_forms), and the forms that
+gxstplc.audit probes from the encoder and the query generator must
+equal them.
 """
 
 import contextlib
@@ -40,11 +43,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_config, random_pattern
-from gxstplc import exactlp
+from gxstplc import exactlp, scheme
 from gxstplc.audit import (
     _SIDES,
     AuditReport,
     Violation,
+    _probed_forms,
     asymm_scheme_audit,
     exhaustive_independence_audit,
     merged_scheme_audit,
@@ -746,10 +750,13 @@ def test_merged_audit_matches_reference_on_random_patterns(seed, x, t):
 
 
 def with_alpha(params, changes):
+    """The params with some server points moved, and the Cauchy table
+    that the encoder reads moved with them."""
     alpha = params.alpha.copy()
     for n, value in changes.items():
         alpha[n - 1] = value
-    return dataclasses.replace(params, alpha=alpha)
+    return dataclasses.replace(params, alpha=alpha,
+                               cauchy=scheme._cauchy(alpha, params.f, params.field.q))
 
 
 def test_failing_sweeps_match_reference():
@@ -854,8 +861,9 @@ def test_certificates_match_reference_per_subset():
                     assert certificate(config, candidate, subset) == expected
 
 
-def reference_independence_side(config, params, subset, side):
-    """The exhaustive enumeration by itertools.product into a dict of counts."""
+def reference_forms(config, params, subset, side):
+    """(n_secret, n_noise, forms): each observed symbol as a list of
+    (variable, coefficient) terms, built from the scheme's formulas."""
     q = params.field.q
     l_value = params.l_value
     secret_index = {}
@@ -888,7 +896,13 @@ def reference_independence_side(config, params, subset, side):
                     for d, c in enumerate(noise_coeffs, start=1):
                         term.append((n_secret + noise_index[(m, d, l, k)], c))
                     forms.append(term)
+    return n_secret, n_noise, forms
 
+
+def reference_independence_side(config, params, subset, side):
+    """The exhaustive enumeration by itertools.product into a dict of counts."""
+    q = params.field.q
+    n_secret, n_noise, forms = reference_forms(config, params, subset, side)
     counts = {}
     for assignment in itertools.product(range(q), repeat=n_secret + n_noise):
         observed = tuple(sum(c * assignment[idx] for idx, c in term) % q for term in forms)
@@ -941,6 +955,14 @@ def test_exhaustive_audit_matches_reference_on_tiny_systems():
                 report = exhaustive_independence_audit(config, params, subset)
                 assert report == reference_exhaustive_audit(config, params, subset, "both")
                 failures.update(v.detail.split(" ", 1)[0] for v in report.violations)
+                # the forms probed from the protocol are the formulas' forms
+                for side in ("storage", "query"):
+                    n_secret, n_noise, terms = reference_forms(config, params, subset, side)
+                    expected = np.zeros((len(terms), n_secret + n_noise), dtype=np.int64)
+                    for row, term in enumerate(terms):
+                        for variable, coeff in term:
+                            expected[row, variable] = coeff
+                    assert np.array_equal(_probed_forms(config, params, subset, side), expected)
     # over-collusion fails on both sides somewhere
     assert failures == {"storage:", "query:"}
 
