@@ -129,6 +129,14 @@ def _verdict(config: AsymmConfig, params: SchemeParams, spec: _Side, m: int,
     return None
 
 
+def _check_params(config: AsymmConfig, params: SchemeParams) -> None:
+    """Refuse params set up for another configuration: groups, L and N must match."""
+    groups = tuple(config.pattern.servers_of(m) for m in range(1, config.m_count + 1))
+    if ((params.groups, params.l_value, len(params.alpha))
+            != (groups, config.l_effective, config.n_servers)):
+        raise DimensionMismatch("params were built for a different system")
+
+
 def _check_servers(subset: tuple[int, ...], n_servers: int) -> None:
     bad = [n for n in subset if not 1 <= n <= n_servers]
     if bad:
@@ -137,6 +145,7 @@ def _check_servers(subset: tuple[int, ...], n_servers: int) -> None:
 
 def _certificate(config: AsymmConfig, params: SchemeParams,
                  subset: tuple[int, ...], side: str) -> bool:
+    _check_params(config, params)
     _check_servers(subset, config.n_servers)
     held = set(subset)
     return all(_verdict(config, params, _SIDES[side], m, held.intersection(group)) is None
@@ -191,8 +200,7 @@ def _probed_forms(config: AsymmConfig, params: SchemeParams,
 
 
 def _independence_side(config: AsymmConfig, params: SchemeParams,
-                       subset: tuple[int, ...], side: str,
-                       max_cells: int) -> tuple[int, str | None]:
+                       subset: tuple[int, ...], side: str) -> tuple[int, str | None]:
     """Enumerate one side exhaustively; returns (cells, failure detail).
 
     Observed symbols are linear forms in (secrets, noise), probed from
@@ -204,9 +212,9 @@ def _independence_side(config: AsymmConfig, params: SchemeParams,
     q = params.field.q
     sizes = [prod(shape) for shape in _variable_shapes(config, params, side)]
     cells = q ** sum(sizes)
-    if cells > max_cells:
+    if cells > _EXHAUSTIVE_CELL_CAP:
         raise ScaleExceeded(
-            f"{side} side needs {cells} joint realizations (cap {max_cells})"
+            f"{side} side needs {cells} joint realizations (cap {_EXHAUSTIVE_CELL_CAP})"
         )
     observed = _uneven_observation(_probed_forms(config, params, subset, side),
                                    sum(sizes[:config.m_count]), q)
@@ -258,8 +266,7 @@ def _uneven_observation(forms: np.ndarray, n_secret: int, q: int) -> tuple[int, 
 
 
 def exhaustive_independence_audit(config: AsymmConfig, params: SchemeParams,
-                                  subset: tuple[int, ...], side: str = "both",
-                                  max_cells: int = _EXHAUSTIVE_CELL_CAP) -> AuditReport:
+                                  subset: tuple[int, ...], side: str = "both") -> AuditReport:
     """Ground-truth independence check by full enumeration.
 
     Only viable for tiny configurations (small field, single-symbol
@@ -267,13 +274,14 @@ def exhaustive_independence_audit(config: AsymmConfig, params: SchemeParams,
     """
     if side not in ("storage", "query", "both"):
         raise ValueError(f"unknown side {side!r}")
+    _check_params(config, params)
     _check_servers(subset, config.n_servers)
     subset = tuple(sorted(set(subset)))
     violations: list[Violation] = []
     notes: list[str] = []
     sides = ("storage", "query") if side == "both" else (side,)
     for s in sides:
-        cells, detail = _independence_side(config, params, subset, s, max_cells)
+        cells, detail = _independence_side(config, params, subset, s)
         notes.append(f"{s}: enumerated {cells} joint realizations")
         if detail is not None:
             violations.append(Violation(subset=subset, message_set=None, detail=detail))
@@ -290,6 +298,7 @@ def asymm_scheme_audit(config: AsymmConfig, params: SchemeParams) -> AuditReport
     point passes all of them at once; the subsets of any other group are
     walked to name the violations.
     """
+    _check_params(config, params)
     violations: list[Violation] = []
     notes: list[str] = []
     checked = 0
@@ -328,9 +337,7 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
     The report counts and flags the subsets that walk covers either way.
     """
     config = virtual_config(a)
-    if params.groups != tuple(config.pattern.servers_of(m + 1)
-                              for m in range(config.m_count)):
-        raise DimensionMismatch("params were built for a different system")
+    _check_params(config, params)
 
     n = a.n_original
     total = sum(comb(n, size) for size in range(1, x + 1))
@@ -347,12 +354,7 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
             size = rng.randint(1, limit)
             yield tuple(sorted(rng.sample(range(1, n + 1), size)))
 
-    # copies[m][o]: the virtual copies of original server o in set m's group
-    copies: dict[int, dict[int, list[int]]] = {m: {} for m in range(1, config.m_count + 1)}
-    for m, group in enumerate(a.r_bar, start=1):
-        for vs in group:
-            copies[m].setdefault(vs[0], []).append(a.flat_id(vs))
-
+    groups = [set(group) for group in params.groups]
     violations: list[Violation] = []
     notes: list[str] = []
     checked = 0
@@ -361,13 +363,15 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
             notes.append(spec.merged_note)
             continue
         checked += _SAMPLE_SIZE if sampled else sum(comb(n, size) for size in range(1, limit + 1))
-        if all(sum(sorted(map(len, by_holder.values()))[-limit:]) <= spec.threshold(config, m)
-               and spec.clear(params, params.group_of(m)) for m, by_holder in copies.items()):
+        if all(sum(sorted(d for _, d in slots)[-limit:]) <= spec.threshold(config, m)
+               and spec.clear(params, params.group_of(m))
+               for m, slots in enumerate(a.delta, start=1)):
             continue
         for originals in original_subsets(limit):
-            for m, by_holder in copies.items():
-                exposed = [v for o in originals for v in by_holder.get(o, ())]
-                detail = _verdict(config, params, spec, m, exposed) if exposed else None
+            exposed = a.exposed(originals)
+            for m, group in enumerate(groups, start=1):
+                hit = [v for v in exposed if v in group]
+                detail = _verdict(config, params, spec, m, hit) if hit else None
                 if detail is not None:
                     violations.append(Violation(originals, m, f"{spec.name}: {detail}"))
     return _report("rank_certificate", checked, violations, sampled=sampled, notes=tuple(notes))

@@ -9,14 +9,6 @@ class DuplicateNodes(GxstplcError):
     """Evaluation points that must be distinct collide."""
 
 
-class Infeasible(GxstplcError):
-    """The linear program has no feasible point."""
-
-
-class Unbounded(GxstplcError):
-    """The linear program's objective is unbounded below."""
-
-
 class ScaleExceeded(GxstplcError):
     """An exhaustive procedure was asked to enumerate too large a space."""
 

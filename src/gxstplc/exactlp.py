@@ -1,6 +1,6 @@
 """Exact rational linear programming for covering-form programs.
 
-The programs handled here minimize a nonnegative objective over
+The programs handled here minimize sum(x) over
 
     A x >= 1,  0 <= x,      with A a 0/1 incidence matrix,
 
@@ -26,7 +26,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DimensionMismatch, Infeasible, InvariantViolation, ScaleExceeded, Unbounded
+from .errors import DimensionMismatch, InvariantViolation, ScaleExceeded
 
 RationalVector = tuple[Fraction, ...]
 
@@ -45,7 +45,7 @@ def _as_fraction(v) -> Fraction:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min objective . x  subject to  rows . x >= 1 (each row), x >= 0.
+    """min sum(x)  subject to  rows . x >= 1 (each row), x >= 0.
 
     Rows are 0/1 incidence tuples; every row must cover at least one
     variable, otherwise the program would be trivially infeasible.
@@ -53,7 +53,6 @@ class LinearProgram:
 
     n_vars: int
     rows: tuple[tuple[int, ...], ...]
-    objective: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
         if self.n_vars < 1:
@@ -71,15 +70,6 @@ class LinearProgram:
         if not table.any(axis=1).all():
             raise ValueError("a row with no variables cannot reach 1")
         object.__setattr__(self, "rows", rows)
-        if self.objective is None:
-            object.__setattr__(
-                self, "objective", tuple(Fraction(1) for _ in range(self.n_vars))
-            )
-        else:
-            obj = tuple(_as_fraction(c) for c in self.objective)
-            if len(obj) != self.n_vars:
-                raise ValueError("objective length does not match n_vars")
-            object.__setattr__(self, "objective", obj)
 
 
 @dataclass(frozen=True)
@@ -106,7 +96,7 @@ def simplex_min(lp: LinearProgram) -> LpSolution:
     return the same vertex to keep ``tau`` and every transcript.
 
     The tableau T = B^{-1} [A | -I] is M / D with D = |det B|, and the
-    reduced costs D C - C_B M (C the objective scaled to integers) are
+    reduced costs D 1 - C_B M (unit costs on x, none on the surplus) are
     the last row of M, so pricing is a sign test.  A pivot on (p, e),
     a = |M[p, e]| (row p negated if needed), keeps row p and maps every
     other row to (M[i] a - M[i, e] M[p]) // D, exact because every entry
@@ -116,26 +106,16 @@ def simplex_min(lp: LinearProgram) -> LpSolution:
     to (num a + delta P) // D, and ratios compare by cross-multiplying.
     Before each pivot, an entry of M or num at 2**31 or above turns both
     into Python ints (dtype object) for the rest of the solve, with the
-    same statements; an objective beyond int64 starts on Python ints.
+    same statements.
     """
-    n = lp.n_vars
-    for j, cj in enumerate(lp.objective):
-        if cj < 0:
-            # x_j can grow along its own axis without leaving the cone
-            raise Unbounded(f"objective coefficient {j} is negative")
-
-    r = len(lp.rows)
+    n, r = lp.n_vars, len(lp.rows)
     rows = np.array(lp.rows, dtype=np.int64).reshape(r, n)
-    scale = lcm_of_denominators(lp.objective)
-    cost = [int(c * scale) for c in lp.objective]
     # the surplus start makes B = -I, hence M = [-A | I] over D = 1; surplus costs are 0
-    tableau = np.zeros((r + 1, n + r), dtype=np.int64 if max(cost) < 2**63 else object)
+    tableau = np.zeros((r + 1, n + r), dtype=np.int64)
     tableau[:r, :n] = -rows
     tableau[:r, n:] = np.eye(r, dtype=np.int64)
-    tableau[r, :n] = cost
-    num = rows.sum(axis=1).astype(tableau.dtype) - 1  # surplus at x = 1
-    if (num < 0).any():
-        raise Infeasible("a constraint row rejects the all-ones point")
+    tableau[r, :n] = 1
+    num = rows.sum(axis=1) - 1  # surplus at x = 1, nonnegative since every row covers
     basis = np.arange(n, n + r)
     at_upper = np.arange(n + r) < n  # only structural variables (j < n) have x_j <= 1
     denom, pivots, bound_flips = 1, 0, 0
@@ -159,8 +139,7 @@ def simplex_min(lp: LinearProgram) -> LpSolution:
             if t * best_q < best_t * q or (t * best_q == best_t * q and k < best_k):
                 leave_pos, best_t, best_q, best_k = i, t, q, k
 
-        if leave_pos < 0 and entering >= n:
-            raise Unbounded("no constraint limits the improving direction")
+        # an entering surplus always meets a limit: the region lies in the unit box
         if entering < n and best_q < best_t:
             # the entering variable swaps bounds without entering the basis
             num += deltas
@@ -194,8 +173,7 @@ def simplex_min(lp: LinearProgram) -> LpSolution:
     values[basis[basis < n]] = num[basis < n]
     _check_feasible(values, denom, rows)
     vertex = tuple(Fraction(int(v), denom) for v in values)
-    optimum = sum((c * v for c, v in zip(lp.objective, vertex)), Fraction(0))
-    return LpSolution(optimum=optimum, vertex=vertex, basis=tuple(sorted(basis.tolist())),
+    return LpSolution(optimum=sum(vertex), vertex=vertex, basis=tuple(sorted(basis.tolist())),
                       pivots=pivots, bound_flips=bound_flips)
 
 

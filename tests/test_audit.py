@@ -7,6 +7,7 @@ import random
 import pytest
 
 from conftest import random_pattern
+from gxstplc import audit
 from gxstplc.audit import (
     asymm_scheme_audit,
     exhaustive_independence_audit,
@@ -23,6 +24,15 @@ from gxstplc.scheme import AsymmConfig, setup, virtual_config
 
 PAIR = StoragePattern(2, (MessageSet((1, 2)),))
 TRIPLE = StoragePattern(3, (MessageSet((1, 2, 3)),))
+# sets {1,2,3} and {1,2} (L = 1), and params set up for another system
+TWO_SETS = AsymmConfig(StoragePattern(3, (MessageSet((1, 2, 3)), MessageSet((1, 2)))),
+                       (1, 1), (0, 0))
+FOREIGN = {
+    "groups": AsymmConfig(TRIPLE, (1,), (0,)),
+    "l_value": AsymmConfig(TWO_SETS.pattern, (0, 0), (0, 0)),
+    "n_servers": AsymmConfig(
+        StoragePattern(4, (MessageSet((1, 2, 3)), MessageSet((1, 2)))), (1, 1), (0, 0)),
+}
 
 
 def merged_setup(pattern, x, t):
@@ -65,6 +75,15 @@ class TestCertificates:
             privacy_rank_certificate(self.config, self.params, subset)
 
 
+    @pytest.mark.parametrize("other", FOREIGN)
+    def test_foreign_params_rejected(self, other):
+        params = setup(FOREIGN[other], field_override=5)
+        with pytest.raises(DimensionMismatch):
+            security_rank_certificate(TWO_SETS, params, (1,))
+        with pytest.raises(DimensionMismatch):
+            privacy_rank_certificate(TWO_SETS, params, (1,))
+
+
 class TestSchemeAudit:
     def test_uneven_nine_passes(self):
         config = AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2))
@@ -98,6 +117,13 @@ class TestSchemeAudit:
         assert report.checked_subsets == 31
         assert len(report.notes) == 4
         assert all("x=0" in note for note in report.notes)
+
+
+    @pytest.mark.parametrize("other", FOREIGN)
+    def test_foreign_params_rejected(self, other):
+        # params for {1,2,3} alone once raised a bare IndexError
+        with pytest.raises(DimensionMismatch):
+            asymm_scheme_audit(TWO_SETS, setup(FOREIGN[other], field_override=5))
 
 
 class TestExhaustive:
@@ -150,9 +176,11 @@ class TestExhaustive:
                         config, params, subset
                     ), (config, subset)
 
-    def test_scale_guard(self):
+    def test_scale_guard(self, monkeypatch):
         config = AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2))
         params = setup(config)
+        # the guard counts cells from the shapes, before running the protocol once
+        monkeypatch.setattr(audit, "_probed_forms", None)
         with pytest.raises(ScaleExceeded):
             exhaustive_independence_audit(config, params, (1,))
 
@@ -163,6 +191,13 @@ class TestExhaustive:
         params = setup(config, field_override=5)
         with pytest.raises(DimensionMismatch):
             exhaustive_independence_audit(config, params, subset)
+
+    @pytest.mark.parametrize("other", FOREIGN)
+    def test_foreign_params_rejected(self, other):
+        # params for {1,2,3} alone once enumerated 390625 realizations, not 625
+        with pytest.raises(DimensionMismatch):
+            exhaustive_independence_audit(TWO_SETS, setup(FOREIGN[other], field_override=5),
+                                          (1,))
 
     def test_unknown_side_rejected(self):
         config = AsymmConfig(PAIR, (1,), (0,))
@@ -211,10 +246,14 @@ class TestMergedAudit:
         assert any("x=0" in note for note in report.notes)
 
     def test_foreign_params_rejected(self):
-        aug, _, _ = merged_setup(GRAPH_SIX, 1, 1)
+        aug, config, _ = merged_setup(GRAPH_SIX, 1, 1)
         other = setup(AsymmConfig(PAIR, (0,), (0,)))
         with pytest.raises(DimensionMismatch):
             merged_scheme_audit(aug, other, 1, 1)
+        # the right groups with a smaller L
+        fewer = setup(dataclasses.replace(config, l_value=aug.l_value - 1))
+        with pytest.raises(DimensionMismatch):
+            merged_scheme_audit(aug, fewer, 1, 1)
 
     def test_sampling_kicks_in_for_wide_systems(self):
         p = StoragePattern(102, (MessageSet(tuple(range(1, 6))),))

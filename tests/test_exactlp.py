@@ -1,5 +1,6 @@
 """Exact simplex and the brute-force vertex oracle."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as F
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import random_covering_lp, random_pattern
 from gxstplc.capacity import build_capacity_lp
-from gxstplc.errors import DimensionMismatch, InvariantViolation, ScaleExceeded, Unbounded
+from gxstplc.errors import DimensionMismatch, InvariantViolation, ScaleExceeded
 from gxstplc.exactlp import (
     LinearProgram,
     _batched_int_det,
@@ -49,13 +50,11 @@ class TestLinearProgramValidation:
         with pytest.raises(ValueError):
             LinearProgram(n_vars=2, rows=((0, 0),))
 
-    def test_rejects_float_objective(self):
-        with pytest.raises(TypeError):
-            LinearProgram(n_vars=1, rows=((1,),), objective=(0.5,))
-
-    def test_default_objective_is_all_ones(self):
-        lp = LinearProgram(n_vars=3, rows=((1, 1, 1),))
-        assert lp.objective == (F(1), F(1), F(1))
+    def test_objective_is_all_ones(self):
+        # the program has no cost vector to set: the optimum is the vertex sum
+        assert [f.name for f in dataclasses.fields(LinearProgram)] == ["n_vars", "rows"]
+        sol = simplex_min(LinearProgram(n_vars=3, rows=((1, 1, 0), (0, 1, 1), (1, 0, 1))))
+        assert sol.optimum == sum(sol.vertex) == F(3, 2)
 
 
 class TestSimplex:
@@ -82,26 +81,10 @@ class TestSimplex:
         sol = simplex_min(LinearProgram(n_vars=4, rows=rows))
         assert sol.optimum == F(2)
 
-    def test_weighted_objective(self):
-        # covering either variable, but the second is cheaper
-        lp = LinearProgram(n_vars=2, rows=((1, 1),), objective=(F(3), F(1)))
-        sol = simplex_min(lp)
-        assert sol.optimum == F(1)
-        assert sol.vertex == (F(0), F(1))
-
-    def test_zero_objective_coefficient(self):
-        lp = LinearProgram(n_vars=2, rows=((1, 0),), objective=(F(1), F(0)))
-        assert simplex_min(lp).optimum == F(1)
-
     def test_no_rows_means_origin(self):
         sol = simplex_min(LinearProgram(n_vars=3, rows=()))
         assert sol.optimum == F(0)
         assert sol.vertex == (F(0),) * 3
-
-    def test_negative_objective_unbounded(self):
-        lp = LinearProgram(n_vars=2, rows=((1, 1),), objective=(F(1), F(-1)))
-        with pytest.raises(Unbounded):
-            simplex_min(lp)
 
     def test_basis_size_matches_rows(self):
         rows = ((1, 1, 0), (0, 1, 1), (1, 0, 1))
@@ -176,9 +159,7 @@ class TestSimplexAgainstOracle:
             lp = random_covering_lp(rng, n_max=5, rows_max=8)
             sol = simplex_min(lp)
             verts = enumerate_vertices_oracle(lp)
-            best = min(
-                sum((c * e for c, e in zip(lp.objective, v)), F(0)) for v in verts
-            )
+            best = min(sum(v) for v in verts)
             assert sol.optimum == best
             assert sol.vertex in verts
 
@@ -191,6 +172,10 @@ class TestLcm:
         ) == 10
         assert lcm_of_denominators([F(3), F(7)]) == 1
         assert lcm_of_denominators([]) == 1
+
+    def test_rejects_floats(self):
+        with pytest.raises(TypeError):
+            lcm_of_denominators([F(1, 2), 0.5])
 
     @given(
         st.lists(

@@ -33,7 +33,7 @@ class Mutant:
     path: str                # relative to the package
     old: str
     new: str
-    argv: tuple[str, ...]    # the CLI command, after --pattern <file>
+    argv: tuple[str, ...]    # the CLI subcommand and its options, --pattern <file> appended
     check: str               # the payload entry whose failure kills the mutant
 
 
@@ -42,23 +42,35 @@ MUTANTS = (
     Mutant("constant-storage-points", "scheme.py",
            "block = _mask(params.alpha[rows], z, q)",
            "block = _mask(np.ones_like(params.alpha[rows]), z, q)",
-           ("--x", "2", "--t", "0", "--exhaustive"), "exhaustive"),
+           ("audit", "--x", "2", "--t", "0", "--exhaustive"), "exhaustive"),
     # the query-side twin: every query noise term at (a - f_l) a^0
     Mutant("constant-query-points", "scheme.py",
            "block = _mask(a, z, q)",
            "block = _mask(np.ones_like(a), z, q)",
-           ("--x", "0", "--t", "2", "--exhaustive"), "exhaustive"),
+           ("audit", "--x", "0", "--t", "2", "--exhaustive"), "exhaustive"),
+    # queries without the (a - f_l) factor: the answers no longer decode
+    Mutant("no-query-noise-factor", "scheme.py",
+           "        block *= ((a[:, None] - params.f[None, :]) % q)[:, :, None]\n",
+           "",
+           ("simulate", "--x", "0", "--t", "1"), "match"),
 )
 
 
-def run_audit(package: Path, argv: tuple[str, ...]) -> subprocess.CompletedProcess:
+def run_cli(package: Path, argv: tuple[str, ...]) -> subprocess.CompletedProcess:
     pattern = package.parent / "pattern.json"
     save_pattern(TRIANGLE, pattern)
     env = {**os.environ, "PYTHONPATH": str(package.parent)}
     return subprocess.run(
-        [sys.executable, "-m", "gxstplc", "audit", "--pattern", str(pattern), *argv],
+        [sys.executable, "-m", "gxstplc", *argv, "--pattern", str(pattern)],
         capture_output=True, text=True, env=env, cwd=package.parent, timeout=60,
     )
+
+
+def failed(entry) -> bool:
+    """A boolean check is false, or a list of audit entries holds one that failed."""
+    if isinstance(entry, bool):
+        return not entry
+    return any(not e["passed"] for e in entry)
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda mutant: mutant.name)
@@ -68,11 +80,11 @@ def test_product_rejects_mutant(mutant, tmp_path):
     copy = tmp_path / "gxstplc"
     shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
 
-    clean = run_audit(copy, mutant.argv)
+    clean = run_cli(copy, mutant.argv)
     assert clean.returncode == 0, clean.stderr
+    assert not failed(json.loads(clean.stdout)[mutant.check])
 
     (copy / mutant.path).write_text(source.replace(mutant.old, mutant.new))
-    run = run_audit(copy, mutant.argv)
+    run = run_cli(copy, mutant.argv)
     assert run.returncode == 1, run.stderr
-    entries = json.loads(run.stdout)[mutant.check]
-    assert any(not entry["passed"] for entry in entries)
+    assert failed(json.loads(run.stdout)[mutant.check])
