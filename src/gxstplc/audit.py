@@ -13,10 +13,12 @@ and (for queries) avoid every f point, every subset up to the threshold
 passes, and subsets are walked only for a group that fails the check,
 to name its violations.  The exhaustive audit is the slow ground truth:
 it reads the colluders' observations off the protocol itself, probing
-encode_storage and generate_queries with one unit vector per secret and
-noise variable, then enumerates every realization of those variables
-over a tiny field, in blocks of int64 assignments, and verifies that
-every observation of the colluders occurs with every secret assignment.
+encode_storage and generate_queries once at zero and once with each
+unit vector of the secret and noise variables, then enumerates every
+realization of those variables over a tiny field, in blocks of int64
+assignments, and verifies that the all-zero observation occurs with
+every secret assignment.  The observations are linear, so then every
+observation does.
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ import numpy as np
 
 from .augment import AugmentedSystem
 from .errors import DimensionMismatch, ScaleExceeded
-from .ff import pivot_columns
 from .scheme import (
     AsymmConfig,
     CoefficientBank,
@@ -175,8 +176,10 @@ def _variable_shapes(config: AsymmConfig, params: SchemeParams,
 def _probed_forms(config: AsymmConfig, params: SchemeParams,
                   subset: tuple[int, ...], side: str) -> np.ndarray:
     """The linear forms the servers of the subset observe, read off the
-    protocol: encode_storage or generate_queries runs once per unit vector
-    of the variables, and each run gives one column of the forms.
+    protocol: encode_storage or generate_queries runs once on all-zero
+    variables and once per unit vector, and each unit run less the zero
+    run gives one column of the forms (so a constant term is not read as
+    a coefficient).
 
     Columns follow the C-order flattening of the _variable_shapes arrays
     (secrets (m, k, l), then noise (m, d, l, k)); rows follow the sorted
@@ -188,81 +191,41 @@ def _probed_forms(config: AsymmConfig, params: SchemeParams,
                       else (generate_queries, CoefficientBank))
     held = [(m, group.index(n)) for n in sorted(subset)
             for m, group in enumerate(params.groups) if n in group]
-    columns = []
-    for unit in np.eye(sum(sizes), dtype=np.int64):
+    runs = []
+    for probe in np.eye(sum(sizes) + 1, sum(sizes), k=-1, dtype=np.int64):
         parts = [part.reshape(shape)
-                 for part, shape in zip(np.split(unit, np.cumsum(sizes)[:-1]), shapes)]
+                 for part, shape in zip(np.split(probe, np.cumsum(sizes)[:-1]), shapes)]
         blocks = protocol(config, params, bank(params.field, tuple(parts[:config.m_count])),
                           noise=parts[config.m_count:]).blocks
-        columns.append(np.fromiter(itertools.chain.from_iterable(
+        runs.append(np.fromiter(itertools.chain.from_iterable(
             blocks[m][r].flat for m, r in held), dtype=np.int64))
-    return np.array(columns).T
+    runs = np.array(runs)
+    return (runs[1:] - runs[0]).T % params.field.q
 
 
-def _independence_side(config: AsymmConfig, params: SchemeParams,
-                       subset: tuple[int, ...], side: str) -> tuple[int, str | None]:
-    """Enumerate one side exhaustively; returns (cells, failure detail).
+def _misses_secrets(forms: np.ndarray, n_secret: int, q: int) -> bool:
+    """True iff some secret assignment never occurs with the all-zero
+    observation.
 
-    Observed symbols are linear forms in (secrets, noise), probed from
-    the protocol; the audit counts every joint realization and demands
-    that each observation tuple appear the same number of times for
-    every secret assignment, with nothing assumed about how the forms
-    were built.
-    """
-    q = params.field.q
-    sizes = [prod(shape) for shape in _variable_shapes(config, params, side)]
-    cells = q ** sum(sizes)
-    if cells > _EXHAUSTIVE_CELL_CAP:
-        raise ScaleExceeded(
-            f"{side} side needs {cells} joint realizations (cap {_EXHAUSTIVE_CELL_CAP})"
-        )
-    observed = _uneven_observation(_probed_forms(config, params, subset, side),
-                                   sum(sizes[:config.m_count]), q)
-    if observed is None:
-        return cells, None
-    return cells, f"{side}: observation {observed} misses some secrets"
-
-
-def _uneven_observation(forms: np.ndarray, n_secret: int, q: int) -> tuple[int, ...] | None:
-    """The first observation, in enumeration order, not seen equally often
-    with every secret; None if there is none.
-
-    Observations are linear in the assignment, so each (observation,
-    secret) pair that occurs at all occurs q**(dim of the noise kernel)
-    times: an observation is seen equally often with every secret iff it
-    is seen with every secret, and only that is checked.  Assignments
-    are numbered in itertools.product order (the last variable runs
-    fastest, the secrets lead) and enumerated in blocks of _CELL_BLOCK.
-    An observation is keyed by its values on a basis of the forms' rows,
-    an (observation, secret) pair by the secret and the values on the
-    rows that extend the secrets to a basis; the basis values fix all
-    others, so every key is below q**n_vars, and independent rows take
-    every value, so every key occurs.
+    Observations are linear in the assignment, so the secrets seen with
+    any one observation form a coset of the secrets seen with the
+    all-zero observation: every observation is seen with every secret iff
+    zero is, and when one observation misses a secret, all of them do.
+    (Each (observation, secret) pair that occurs at all occurs equally
+    often, so counts need no check.)  Assignments are numbered in
+    itertools.product order (the last variable runs fastest, the secrets
+    lead) and enumerated in blocks of _CELL_BLOCK.
     """
     n_vars = forms.shape[1]
     cells = q ** n_vars
-    secret_states = q ** n_secret
-    noise_states = cells // secret_states
+    noise_states = q ** (n_vars - n_secret)
     digit = q ** np.arange(n_vars - 1, -1, -1, dtype=np.int64)
-    obs_rows = pivot_columns(forms.T, q)
-    secrets = np.eye(n_vars, n_secret, dtype=np.int64)
-    pair_rows = [r - n_secret for r in pivot_columns(np.hstack([secrets, forms.T]), q)[n_secret:]]
-    obs_weight = q ** np.arange(len(obs_rows), dtype=np.int64)
-    pair_weight = secret_states * q ** np.arange(len(pair_rows), dtype=np.int64)
-
-    obs_of_pair = np.zeros(secret_states * q ** len(pair_rows), dtype=np.int64)
-    first = np.full(q ** len(obs_rows), cells, dtype=np.int64)  # first assignment seen
+    seen = np.zeros(q ** n_secret, dtype=bool)
     for start in range(0, cells, _CELL_BLOCK):
         index = np.arange(start, min(start + _CELL_BLOCK, cells), dtype=np.int64)
         observed = (index[:, None] // digit % q) @ forms.T % q
-        obs_key = observed[:, obs_rows] @ obs_weight
-        obs_of_pair[index // noise_states + observed[:, pair_rows] @ pair_weight] = obs_key
-        np.minimum.at(first, obs_key, index)
-
-    bad = np.flatnonzero(np.bincount(obs_of_pair, minlength=len(first)) != secret_states)
-    if not bad.size:
-        return None
-    return tuple(int(v) for v in first[bad].min() // digit % q @ forms.T % q)
+        seen[index[~observed.any(axis=1)] // noise_states] = True
+    return not seen.all()
 
 
 def exhaustive_independence_audit(config: AsymmConfig, params: SchemeParams,
@@ -281,9 +244,16 @@ def exhaustive_independence_audit(config: AsymmConfig, params: SchemeParams,
     notes: list[str] = []
     sides = ("storage", "query") if side == "both" else (side,)
     for s in sides:
-        cells, detail = _independence_side(config, params, subset, s)
+        sizes = [prod(shape) for shape in _variable_shapes(config, params, s)]
+        cells = params.field.q ** sum(sizes)
+        if cells > _EXHAUSTIVE_CELL_CAP:
+            raise ScaleExceeded(
+                f"{s} side needs {cells} joint realizations (cap {_EXHAUSTIVE_CELL_CAP})"
+            )
         notes.append(f"{s}: enumerated {cells} joint realizations")
-        if detail is not None:
+        forms = _probed_forms(config, params, subset, s)
+        if _misses_secrets(forms, sum(sizes[:config.m_count]), params.field.q):
+            detail = f"{s}: observation {(0,) * len(forms)} misses some secrets"
             violations.append(Violation(subset=subset, message_set=None, detail=detail))
     return _report("exhaustive", 1, violations, notes=tuple(notes))
 

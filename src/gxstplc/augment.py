@@ -64,12 +64,6 @@ class AugmentedSystem:
             self.flat_id((n, i)) for n in originals for i in range(1, self.tau[n - 1] + 1)
         )
 
-    def delta_of(self, m: int, n: int) -> int:
-        for server, copies in self.delta[m - 1]:
-            if server == n:
-                return copies
-        return 0
-
     def virtual_pattern(self, counts: tuple[int, ...] | None = None) -> StoragePattern:
         """The augmented system as a flat pattern over virtual servers."""
         if counts is None:
@@ -171,6 +165,4 @@ def collusion_exposure(a: AugmentedSystem, colluders: tuple[int, ...]) -> tuple[
             raise ValueError(f"no such server: {n}")
     if len(set(colluders)) != len(colluders):
         raise ValueError("colluders listed twice")
-    return tuple(
-        sum(a.delta_of(m, n) for n in colluders) for m in range(1, len(a.r_bar) + 1)
-    )
+    return tuple(sum(dict(slots).get(n, 0) for n in colluders) for slots in a.delta)

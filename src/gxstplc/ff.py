@@ -1,18 +1,13 @@
-"""Prime moduli, the residue record of a transcript, and pivot columns.
+"""Prime moduli and the residue record of a transcript.
 
 Everything here is deterministic and exact.  Field arithmetic runs on
 int64 residue arrays in the modules that need it; this module checks a
-modulus (``check_modulus``), names the field a transcript's residues
+modulus (``check_modulus``) and names the field a transcript's residues
 live in (``PrimeField`` and its ``FieldElement`` records, which carry no
-arithmetic), and finds the pivot columns of a matrix over F_q by
-fraction-free Gauss-Jordan elimination (``pivot_columns``).
+arithmetic).
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-from .errors import DimensionMismatch
 
 MAX_MODULUS = 2**31  # keeps products of two residues inside 64-bit range
 
@@ -106,37 +101,3 @@ class FieldElement:
     def __repr__(self) -> str:
         return f"{self.value}"
 
-
-def pivot_columns(rows, q: int) -> list[int]:
-    """The pivot columns of a matrix over F_q: the greedy basis of its
-    columns, each independent of those before it.  The input is not modified.
-
-    Gauss-Jordan elimination, fraction-free: column by column, the first
-    unused row with a nonzero entry there is the pivot, and every other
-    row i becomes row_i * p - row_i[col] * pivot, so no inverse is taken.
-    Entries stay below q < 2**31 and every product below 2**62.
-    """
-    try:
-        a = np.asarray(rows, dtype=np.int64) % q
-    except ValueError as exc:  # ragged rows
-        raise DimensionMismatch(f"rows of unequal length: {exc}") from None
-    if a.ndim != 2:
-        raise DimensionMismatch(f"need a matrix, got shape {a.shape}")
-    used = np.zeros(len(a), dtype=bool)
-    pivots = []
-    for col in range(a.shape[1]):
-        if used.all():  # every row holds a pivot (or there are none)
-            break
-        candidates = np.flatnonzero((a[:, col] != 0) & ~used)
-        if not candidates.size:
-            continue
-        p = candidates[0]
-        pivot = a[p].copy()
-        factor = a[:, col].copy()
-        factor[p] = 0
-        a *= pivot[col]
-        a -= factor[:, None] * pivot
-        a %= q
-        used[p] = True
-        pivots.append(col)
-    return pivots

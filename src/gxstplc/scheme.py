@@ -64,7 +64,8 @@ class AsymmConfig:
     x_vec[m-1] bounds the colluding servers that may learn nothing about
     the stored messages of set m; t_vec[m-1] does the same for the query
     coefficients.  l_value optionally pins the number of decoded symbols
-    per round below its maximum min_m(|R_m| - x - t).
+    per round below its maximum min_m(|R_m| - x - t).  All of them are
+    stored as ints; a float raises TypeError.
     """
 
     pattern: StoragePattern
@@ -73,8 +74,10 @@ class AsymmConfig:
     l_value: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x_vec", tuple(self.x_vec))
-        object.__setattr__(self, "t_vec", tuple(self.t_vec))
+        object.__setattr__(self, "x_vec", tuple(map(operator.index, self.x_vec)))
+        object.__setattr__(self, "t_vec", tuple(map(operator.index, self.t_vec)))
+        if self.l_value is not None:
+            object.__setattr__(self, "l_value", operator.index(self.l_value))
         m = self.pattern.m_count
         if len(self.x_vec) != m or len(self.t_vec) != m:
             raise DimensionMismatch("threshold vectors must have one entry per set")

@@ -1,8 +1,9 @@
-"""Prime moduli, residue records and pivot columns over F_q.
+"""Prime moduli and residue records over F_q.
 
-The solver tests check reference_solve, the test-only list eliminator
-that tests/test_reference.py decodes with to check the closed-form
-decoder, against A x = b directly.
+The matrix tests check reference_rank and reference_solve, the
+test-only list eliminator that tests/test_reference.py ranks and
+decodes with to check the closed-form noise ranks and decoder, against
+known ranks and A x = b directly.
 """
 
 import itertools
@@ -11,20 +12,15 @@ import random
 import numpy as np
 import pytest
 
-from gxstplc.errors import DimensionMismatch
 from gxstplc.ff import (
     MAX_MODULUS,
     PrimeField,
     check_modulus,
     is_prime,
-    pivot_columns,
     smallest_prime_at_least,
 )
+from test_reference import reference_rank as rank
 from test_reference import reference_solve
-
-
-def rank(rows, q):
-    return len(pivot_columns(rows, q))
 
 
 class TestPrimes:
@@ -142,7 +138,6 @@ class TestMatrix:
         q = 2**31 - 1  # products of two residues come within a factor 2 of 2**63
         assert rank([[q - 1, q - 2], [q - 2, q - 1]], q) == 2
         assert rank([[q - 1, q - 1], [1, 1]], q) == 1
-        assert pivot_columns([[q - 1, q - 1, 1], [1, q - 1, q - 2]], q) == [0, 1]
 
     def test_inputs_are_not_consumed(self):
         rows = [[2, 1, 3], [1, 3, 4]]
@@ -151,19 +146,6 @@ class TestMatrix:
         assert rank(array, 7) == 2 and array.tolist() == rows
         residues = array % 7
         assert rank(residues, 7) == 2 and residues.tolist() == rows
-
-    def test_ragged_rows_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            pivot_columns([[1, 2], [3]], 7)
-        with pytest.raises(DimensionMismatch):
-            pivot_columns([1, 2, 3], 7)
-        with pytest.raises(DimensionMismatch):
-            pivot_columns(np.zeros((2, 2, 2), dtype=np.int64), 7)
-
-    def test_pivot_columns_are_the_greedy_basis(self):
-        # column 1 doubles column 0 and column 3 sums columns 0 and 2
-        assert pivot_columns([[1, 2, 0, 1], [0, 0, 1, 1]], 5) == [0, 2]
-        assert pivot_columns([[0, 0], [0, 0]], 5) == []
 
     def test_solve_singular(self):
         with pytest.raises(ValueError, match="singular"):

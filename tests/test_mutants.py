@@ -48,6 +48,13 @@ MUTANTS = (
            "block = _mask(a, z, q)",
            "block = _mask(np.ones_like(a), z, q)",
            ("audit", "--x", "0", "--t", "2", "--exhaustive"), "exhaustive"),
+    # a constant top noise term: each share or query carries one noise
+    # variable fewer plus an offset that a probe without the zero run
+    # would read as the missing noise coefficient
+    Mutant("constant-top-mask-term", "scheme.py",
+           "acc[:] = noise[-1] if len(noise) else 0",
+           "acc[:] = 1",
+           ("audit", "--x", "2", "--t", "0", "--exhaustive"), "exhaustive"),
     # queries without the (a - f_l) factor: the answers no longer decode
     Mutant("no-query-noise-factor", "scheme.py",
            "        block *= ((a[:, None] - params.f[None, :]) % q)[:, :, None]\n",

@@ -16,17 +16,18 @@ must return the same optimum, vertex, basis and pivot and bound-flip
 counts, on the int64 tableau and after it turns into Python ints.
 
 A list-of-lists eliminator (normalized pivots, one matrix at a time)
-checks the fraction-free int64 elimination of gxstplc.ff.pivot_columns
-and the closed-form noise ranks of gxstplc.audit, and solves
+checks the closed-form noise ranks of gxstplc.audit, and solves
 reference_decode's systems.  On top of it, the audits written one
 subset and one set at a time (the rank certificate per subset, the
 exhaustive enumeration by itertools.product into a dict of counts)
-check the closed-form sweeps and the blocked enumeration of
+check the closed-form sweeps and the zero-observation enumeration of
 gxstplc.audit: every report must be equal, counts, violations in order
 with their details, and notes.  The enumeration's observed forms are
 built from the scheme's formulas (reference_forms), and the forms that
 gxstplc.audit probes from the encoder and the query generator must
-equal them.
+equal them.  On raw random forms the dict of counts also checks the
+rule the audit decides by: a leak always first shows at the all-zero
+observation, and counts are never uneven.
 """
 
 import contextlib
@@ -48,6 +49,7 @@ from gxstplc.audit import (
     _SIDES,
     AuditReport,
     Violation,
+    _misses_secrets,
     _probed_forms,
     asymm_scheme_audit,
     exhaustive_independence_audit,
@@ -59,7 +61,7 @@ from gxstplc.augment import generate_augmented_system
 from gxstplc.capacity import asymptotic_capacity, build_capacity_lp
 from gxstplc.demos import GRAPH_FOURTEEN, GRAPH_SIX, UNEVEN_NINE, UNEVEN_SEVEN
 from gxstplc.exactlp import LinearProgram, LpSolution, simplex_min
-from gxstplc.ff import PrimeField, pivot_columns
+from gxstplc.ff import PrimeField
 from gxstplc.pattern import min_replication_slack
 from gxstplc.pattern import MessageSet, StoragePattern
 from gxstplc.scheme import (
@@ -510,8 +512,9 @@ def test_capacity_rows_match_reference_in_order(seed, x, t):
 # -- field linear algebra ----------------------------------------------------
 
 def reference_eliminate(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form over F_q of a copy of the rows, and its pivot columns."""
-    rows = [[e % q for e in row] for row in rows]
+    """Reduced row echelon form over F_q of a copy of the rows (lists or
+    an int array), and its pivot columns."""
+    rows = [[int(e) % q for e in row] for row in rows]
     n_rows = len(rows)
     n_cols = len(rows[0]) if n_rows else 0
     pivots = []
@@ -544,33 +547,6 @@ def reference_solve(rows: list[list[int]], q: int) -> list[int]:
     if pivots != list(range(n)):
         raise ValueError("coefficient matrix is singular")
     return [row[n] for row in rows]
-
-
-PRIMES = (2, 3, 5, 7, 2**31 - 1)
-
-
-@st.composite
-def residue_matrices(draw):
-    """(q, matrix): an r x c int64 array, r and c from 0 to 6, entries often at or near q."""
-    q = draw(st.sampled_from(PRIMES))
-    r, c = draw(st.integers(0, 6)), draw(st.integers(0, 6))
-    entry = st.one_of(st.integers(0, q - 1), st.sampled_from([0, 1, q - 2, q - 1]),
-                      st.integers(-q, 2 * q))
-    rows = draw(st.lists(st.lists(entry, min_size=c, max_size=c), min_size=r, max_size=r))
-    return q, np.array(rows, dtype=np.int64).reshape(r, c)
-
-
-@settings(max_examples=300, deadline=None)
-@given(residue_matrices())
-@example((2**31 - 1, np.array([[2**31 - 2, 2**31 - 3], [2**31 - 3, 2**31 - 2]])))
-def test_pivot_columns_match_list_eliminator(case):
-    q, matrix = case
-    before = matrix.copy()
-    expected = reference_eliminate(matrix.tolist(), q)[1]
-    assert pivot_columns(matrix, q) == expected
-    assert np.array_equal(matrix, before)  # the input is left alone
-    if len(matrix):  # as nested lists too; [] has no column count
-        assert pivot_columns(matrix.tolist(), q) == expected
 
 
 # -- audits --------------------------------------------------------------------
@@ -879,24 +855,43 @@ def reference_forms(config, params, subset, side):
     return n_secret, n_noise, forms
 
 
-def reference_independence_side(config, params, subset, side):
-    """The exhaustive enumeration by itertools.product into a dict of counts."""
-    q = params.field.q
-    n_secret, n_noise, forms = reference_forms(config, params, subset, side)
+def reference_first_failure(n_secret, forms, q):
+    """The exhaustive enumeration by itertools.product into a dict of counts.
+
+    forms is a dense [observed symbols, variables] array over the secrets,
+    then the noise.  Returns (observation, what fails) for the first
+    observation, in order of first occurrence, not seen equally often
+    with every secret; None if there is none.
+    """
+    rows = forms.tolist()
     counts = {}
-    for assignment in itertools.product(range(q), repeat=n_secret + n_noise):
-        observed = tuple(sum(c * assignment[idx] for idx, c in term) % q for term in forms)
+    for assignment in itertools.product(range(q), repeat=forms.shape[1]):
+        observed = tuple(sum(c * a for c, a in zip(row, assignment)) % q for row in rows)
         per_secret = counts.setdefault(observed, {})
         secrets = assignment[:n_secret]
         per_secret[secrets] = per_secret.get(secrets, 0) + 1
-    cells = q ** (n_secret + n_noise)
     for observed, per_secret in counts.items():
         if len(per_secret) != q ** n_secret:
-            return cells, f"{side}: observation {observed} misses some secrets"
+            return observed, "misses some secrets"
         reference = next(iter(per_secret.values()))
         if any(c != reference for c in per_secret.values()):
-            return cells, f"{side}: observation {observed} has uneven counts"
-    return cells, None
+            return observed, "has uneven counts"
+    return None
+
+
+def reference_independence_side(config, params, subset, side):
+    q = params.field.q
+    n_secret, n_noise, terms = reference_forms(config, params, subset, side)
+    forms = np.zeros((len(terms), n_secret + n_noise), dtype=np.int64)
+    for row, term in enumerate(terms):
+        for variable, coeff in term:
+            forms[row, variable] = coeff
+    cells = q ** (n_secret + n_noise)
+    failure = reference_first_failure(n_secret, forms, q)
+    if failure is None:
+        return cells, None
+    observed, what = failure
+    return cells, f"{side}: observation {observed} {what}"
 
 
 def reference_exhaustive_audit(config, params, subset, side):
@@ -957,3 +952,24 @@ def test_exhaustive_audit_matches_reference_with_moved_points():
             for subset in itertools.combinations(range(1, 4), size):
                 report = exhaustive_independence_audit(config, moved, subset)
                 assert report == reference_exhaustive_audit(config, moved, subset, "both")
+
+
+@st.composite
+def raw_forms(draw):
+    """(q, n_secret, forms): 0-4 random observed symbols over 1-3 secrets
+    and 0-3 noise variables."""
+    q = draw(st.sampled_from((2, 3, 5, 7)))
+    n_secret, n_noise = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    shape = (draw(st.integers(0, 4)), n_secret + n_noise)
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=prod(shape), max_size=prod(shape)))
+    return q, n_secret, np.array(entries, dtype=np.int64).reshape(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_forms())
+def test_zero_observation_decides_on_raw_forms(case):
+    q, n_secret, forms = case
+    failure = reference_first_failure(n_secret, forms, q)
+    assert _misses_secrets(forms, n_secret, q) == (failure is not None)
+    # a leak shows first at the zero observation, and never as uneven counts
+    assert failure in (None, ((0,) * len(forms), "misses some secrets"))

@@ -76,6 +76,14 @@ class TestConfig:
             AsymmConfig(TRIPLE, (1,), (0,), l_value=0)
         assert AsymmConfig(TRIPLE, (1,), (0,), l_value=1).l_effective == 1
 
+    def test_thresholds_and_l_value_are_ints(self):
+        for bad in ({"x_vec": (1.0,)}, {"t_vec": (1.5,)}, {"l_value": 1.0}):
+            with pytest.raises(TypeError):
+                AsymmConfig(**{"pattern": TRIPLE, "x_vec": (1,), "t_vec": (0,)} | bad)
+        config = AsymmConfig(TRIPLE, (np.int64(1),), [np.int32(0)], l_value=np.int64(1))
+        assert config == AsymmConfig(TRIPLE, (1,), (0,), l_value=1)
+        assert all(type(v) is int for v in config.x_vec + config.t_vec + (config.l_value,))
+
     def test_l_effective_default_is_min_slack(self):
         config = AsymmConfig(UNEVEN_SEVEN, (0, 0, 0, 0), (1, 2, 1, 2))
         assert config.l_effective == 2
