@@ -38,6 +38,7 @@ from .scheme import (
     CoefficientBank,
     MessageBank,
     SchemeParams,
+    _reduce,
     _shapes,
     encode_storage,
     generate_queries,
@@ -200,7 +201,7 @@ def _probed_forms(config: AsymmConfig, params: SchemeParams,
         runs.append(np.fromiter(itertools.chain.from_iterable(
             blocks[m][r].flat for m, r in held), dtype=np.int64))
     runs = np.array(runs)
-    return (runs[1:] - runs[0]).T % params.field.q
+    return _reduce((runs[1:] - runs[0]).T, params.field.q)
 
 
 def _misses_secrets(forms: np.ndarray, n_secret: int, q: int) -> bool:
@@ -223,7 +224,7 @@ def _misses_secrets(forms: np.ndarray, n_secret: int, q: int) -> bool:
     seen = np.zeros(q ** n_secret, dtype=bool)
     for start in range(0, cells, _CELL_BLOCK):
         index = np.arange(start, min(start + _CELL_BLOCK, cells), dtype=np.int64)
-        observed = (index[:, None] // digit % q) @ forms.T % q
+        observed = _reduce(_reduce(index[:, None] // digit, q) @ forms.T, q)
         seen[index[~observed.any(axis=1)] // noise_states] = True
     return not seen.all()
 

@@ -27,16 +27,19 @@ evaluated by Horner's rule.
 Field data is held as read-only int64 residue arrays, one per message
 set m: message and coefficient banks are [K_m, L], noise is
 [depth_m, L, K_m], and share and query blocks are [|R_m|, L, K_m] with
-rows in the order of servers_of(m).  Every product is reduced mod q
-before it meets another product, so an intermediate value is at most
-one product plus a sum of residues, and nothing overflows for any q
-below ``ff.MAX_MODULUS``.  FieldElements appear only in the transcript
+rows in the order of servers_of(m).  An intermediate value is at most
+two products of residues plus a residue (or a sum of residues), below
+2^63 for any q below ``ff.MAX_MODULUS``, so nothing overflows.  Every
+array is reduced by ``_reduce``, an in-place floor division
+(a -= a // q * q): numpy's integer remainder has no vectorised path and
+takes about twice as long.  FieldElements appear only in the transcript
 and in ``expected_combination``; the lemma checks take and return plain
 integers.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -159,13 +162,26 @@ def _rows(group: tuple[int, ...]) -> np.ndarray:
     return np.asarray(group) - 1
 
 
+def _reduce(a: np.ndarray, q: int) -> np.ndarray:
+    """Reduce an int64 or uint64 array mod q in place and return it.
+
+    Floor division puts negative entries in [0, q), as % does.  r * q
+    may wrap below the int64 range, but a - r * q lies in [0, q), so the
+    wrapped arithmetic still gives it exactly.
+    """
+    r = a // q
+    r *= q
+    a -= r
+    return a
+
+
 def _product(factors: np.ndarray, q: int) -> np.ndarray:
     """Product mod q along the last axis, in log2(width) halving steps."""
     while (width := factors.shape[-1]) > 1:
         half = width // 2
-        head = factors[..., :half] * factors[..., half:2 * half] % q
+        head = _reduce(factors[..., :half] * factors[..., half:2 * half], q)
         if width % 2:
-            head[..., 0] = head[..., 0] * factors[..., -1] % q
+            head[..., 0] = _reduce(head[..., 0] * factors[..., -1], q)
         factors = head
     return factors[..., 0]
 
@@ -178,7 +194,7 @@ def _node_products(points: np.ndarray, nodes: np.ndarray, q: int, *,
     skip_own, points and nodes are the same list and point i leaves out
     node i: prod_{k != i} (a_i - a_k).
     """
-    diff = (points[..., :, None] - nodes[..., None, :]) % q
+    diff = _reduce(points[..., :, None] - nodes[..., None, :], q)
     if skip_own:
         own = np.arange(diff.shape[-1])
         diff[..., own, own] = 1
@@ -188,12 +204,14 @@ def _node_products(points: np.ndarray, nodes: np.ndarray, q: int, *,
 def _inverse(a: np.ndarray, q: int) -> np.ndarray:
     """Elementwise a^(q-2) mod q (Fermat), by square and multiply."""
     out = np.ones_like(a)
-    base = a % q
+    base = _reduce(a.copy(), q)
     e = q - 2
     while e:
         if e & 1:
-            out = out * base % q
-        base = base * base % q
+            out *= base
+            _reduce(out, q)
+        base *= base
+        _reduce(base, q)
         e >>= 1
     return out
 
@@ -245,7 +263,7 @@ def setup(config: AsymmConfig, field_override: int | None = None) -> SchemeParam
         q = field_override
     field = PrimeField(q)
     alpha = _frozen(np.arange(1, n + 1, dtype=np.int64))
-    f = _frozen(np.arange(n + 1, needed + 1, dtype=np.int64) % q)
+    f = _frozen(_reduce(np.arange(n + 1, needed + 1, dtype=np.int64), q))
     groups = tuple(config.pattern.servers_of(m) for m in range(1, config.m_count + 1))
     u = np.empty((len(groups), l_value), dtype=np.int64)
     v = [None] * len(groups)
@@ -286,14 +304,25 @@ class FieldSampler:
         stream in the same place, as drawing them one at a time.
         """
         kept = [np.empty(0, dtype=np.uint64)]
-        missing = int(np.prod(shape))
+        missing = math.prod(shape)
         while missing:
             raw = self._gen.integers(0, 2**64 - 1, size=missing, dtype=np.uint64,
                                      endpoint=True)
             kept.append(raw[raw <= self._max])
             missing -= len(kept[-1])
-        residues = np.concatenate(kept) % np.uint64(self.field.q)
+        residues = _reduce(np.concatenate(kept), self.field.q)
         return _frozen(residues.astype(np.int64).reshape(shape))
+
+    def draw_blocks(self, shapes: Sequence[tuple[int, ...]]) -> tuple[np.ndarray, ...]:
+        """Read-only blocks of the given shapes, views of one draw: the
+        same values, and the same place in the stream, as one draw each."""
+        flat = self.draw((sum(map(math.prod, shapes)),))
+        blocks, start = [], 0
+        for shape in shapes:
+            end = start + math.prod(shape)
+            blocks.append(flat[start:end].reshape(shape))
+            start = end
+        return tuple(blocks)
 
 
 def _shapes(config: AsymmConfig, l_value: int,
@@ -314,16 +343,22 @@ def _checked(blocks: tuple[np.ndarray, ...], shapes: tuple[tuple[int, ...], ...]
 
 
 def _to_residues(blocks, q: int) -> tuple[np.ndarray, ...]:
-    """Caller data as reduced arrays: ragged input is a shape error, and
-    integers outside int64 are reduced exactly."""
+    """Caller data as reduced arrays: ragged input is a shape error, an
+    entry that is not an integer (by operator.index, so bools and numpy
+    integers pass) a TypeError, and integers outside int64 are reduced
+    exactly."""
     out = []
     for b in blocks:
         try:
-            a = np.array(b, dtype=np.int64) % q
-        except OverflowError:
-            a = (np.array(b, dtype=object) % q).astype(np.int64)
+            a = np.array(b)
         except ValueError as exc:
             raise DimensionMismatch(f"ragged field data: {exc}") from None
+        if a.dtype.kind in "bi":
+            a = _reduce(a.astype(np.int64, copy=False), q)
+        else:  # beyond int64, or not integers: entry by entry
+            entries = np.array(b, dtype=object)
+            a = np.fromiter((operator.index(e) % q for e in entries.flat), dtype=np.int64,
+                            count=entries.size).reshape(entries.shape)
         out.append(_frozen(a))
     return tuple(out)
 
@@ -338,9 +373,8 @@ class MessageBank(_Residues):
     @classmethod
     def random(cls, config: AsymmConfig, params: SchemeParams,
                seed) -> "MessageBank":
-        sampler = FieldSampler(params.field, seed)
         shapes = _shapes(config, params.l_value)
-        return cls(params.field, tuple(sampler.draw(s) for s in shapes))
+        return cls(params.field, FieldSampler(params.field, seed).draw_blocks(shapes))
 
     @classmethod
     def from_ints(cls, config: AsymmConfig, params: SchemeParams,
@@ -370,8 +404,7 @@ def _noise(config: AsymmConfig, params: SchemeParams, depths: tuple[int, ...],
            rng_seed, noise) -> tuple[np.ndarray, ...]:
     shapes = _shapes(config, params.l_value, depths)
     if noise is None:
-        sampler = FieldSampler(params.field, rng_seed)
-        return tuple(sampler.draw(s) for s in shapes)
+        return FieldSampler(params.field, rng_seed).draw_blocks(shapes)
     return _checked(_to_residues(noise, params.field.q), shapes, "noise")
 
 
@@ -386,7 +419,7 @@ def _mask(points: np.ndarray, noise: np.ndarray, q: int) -> np.ndarray:
     for z in noise[-2::-1]:
         acc *= points[:, None, None]
         acc += z
-        acc %= q
+        _reduce(acc, q)
     return acc
 
 
@@ -402,7 +435,7 @@ def encode_storage(config: AsymmConfig, params: SchemeParams,
         rows = _rows(group)
         block = _mask(params.alpha[rows], z, q)
         block += params.cauchy[rows][:, :, None] * w.T
-        block %= q
+        _reduce(block, q)
         blocks.append(_frozen(block))
     return ShareBank(blocks=tuple(blocks), noise=noise)
 
@@ -418,9 +451,9 @@ def generate_queries(config: AsymmConfig, params: SchemeParams,
     for group, u, lam, z in zip(params.groups, params.u, coeffs.values, noise):
         a = params.alpha[_rows(group)]
         block = _mask(a, z, q)
-        block *= ((a[:, None] - params.f[None, :]) % q)[:, :, None]
-        block += u[:, None] * lam.T % q
-        block %= q
+        block *= _reduce(a[:, None] - params.f[None, :], q)[:, :, None]
+        block += u[:, None] * lam.T
+        _reduce(block, q)
         blocks.append(_frozen(block))
     return QueryBank(blocks=tuple(blocks), noise=noise)
 
@@ -435,9 +468,9 @@ def collect_answers(config: AsymmConfig, params: SchemeParams,
     _checked(queries.blocks, shapes, "query blocks")
     total = np.zeros(config.n_servers, dtype=np.int64)
     for group, v, share, query in zip(params.groups, params.v, shares.blocks, queries.blocks):
-        dots = (share * query % q).sum(axis=(1, 2)) % q
-        total[_rows(group)] += v * dots % q
-    return tuple(params.field(int(a)) for a in total % q)
+        dots = _reduce(_reduce(share * query, q).sum(axis=(1, 2)), q)
+        total[_rows(group)] += _reduce(v * dots, q)
+    return tuple(map(params.field, _reduce(total, q).tolist()))
 
 
 def reconstruct(answers: Sequence[FieldElement],
@@ -458,10 +491,10 @@ def reconstruct(answers: Sequence[FieldElement],
         raise DimensionMismatch("need exactly one answer per server")
     q = params.field.q
     scaled = np.array([a.value for a in answers], dtype=np.int64)
-    scaled = scaled * _node_products(params.alpha, params.f, q) % q
-    sums = (scaled[:, None] * params.cauchy % q).sum(axis=0) % q
-    decoded = -_dual_weights(params.f, q) * sums % q
-    return tuple(params.field(int(d)) for d in decoded)
+    scaled = _reduce(scaled * _node_products(params.alpha, params.f, q), q)
+    sums = _reduce(_reduce(scaled[:, None] * params.cauchy, q).sum(axis=0), q)
+    decoded = _reduce(-_dual_weights(params.f, q) * sums, q)
+    return tuple(map(params.field, decoded.tolist()))
 
 
 def expected_combination(config: AsymmConfig, messages: MessageBank,
@@ -470,8 +503,9 @@ def expected_combination(config: AsymmConfig, messages: MessageBank,
     field = messages.field
     acc = np.zeros(messages.values[0].shape[1], dtype=np.int64)
     for w, lam in zip(messages.values, coeffs.values):
-        acc = (acc + (lam * w % field.q).sum(axis=0)) % field.q
-    return tuple(field(int(e)) for e in acc)
+        acc += _reduce(lam * w, field.q).sum(axis=0)
+        _reduce(acc, field.q)
+    return tuple(map(field, acc.tolist()))
 
 
 def dual_grs_weights(nodes: Sequence[int], q: int) -> tuple[int, ...]:
@@ -514,14 +548,14 @@ def cauchy_vandermonde_check(alpha_nodes: Sequence[int], f_nodes: Sequence[int],
     # V_alpha . D_v^{-1} . C . D_u == -V_f, which is the factorization
     # because V_alpha is invertible (its points are distinct); row i of
     # the left side sums alpha_k^i times row k of D_v^{-1} C D_u
-    terms = (_dual_weights(points, q)[:, None] * _cauchy(points, f, q) % q
-             * _node_products(f, points, q) % q)
+    terms = _reduce(_reduce(_dual_weights(points, q)[:, None] * _cauchy(points, f, q), q)
+                    * _node_products(f, points, q), q)
     powers = np.ones(l, dtype=np.int64)
     for _ in range(n):
-        if not np.array_equal(terms.sum(axis=0) % q, -powers % q):
+        if not np.array_equal(_reduce(terms.sum(axis=0), q), _reduce(-powers, q)):
             return False
-        terms = terms * points[:, None] % q
-        powers = powers * f % q
+        terms = _reduce(terms * points[:, None], q)
+        powers = _reduce(powers * f, q)
     return True
 
 

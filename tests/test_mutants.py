@@ -57,8 +57,14 @@ MUTANTS = (
            ("audit", "--x", "2", "--t", "0", "--exhaustive"), "exhaustive"),
     # queries without the (a - f_l) factor: the answers no longer decode
     Mutant("no-query-noise-factor", "scheme.py",
-           "        block *= ((a[:, None] - params.f[None, :]) % q)[:, :, None]\n",
+           "        block *= _reduce(a[:, None] - params.f[None, :], q)[:, :, None]\n",
            "",
+           ("simulate", "--x", "0", "--t", "1"), "match"),
+    # a reduction kernel that subtracts a // q copies of q - 1, not of q:
+    # every residue array is off, and the decoded symbols with it
+    Mutant("reduce-by-wrong-multiple", "scheme.py",
+           "    r *= q\n",
+           "    r *= q - 1\n",
            ("simulate", "--x", "0", "--t", "1"), "match"),
 )
 

@@ -5,6 +5,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import random_config
 from gxstplc import scheme
@@ -188,6 +191,41 @@ class TestEncode:
         small = [[[2**70 % q, -(2**65) % q]] * 2, [[(2**64 + 3) % q, 5]] * 2]
         assert MessageBank.from_ints(config, params, big) == \
             MessageBank.from_ints(config, params, small)
+
+    def test_bank_rejects_entries_that_are_not_integers(self):
+        config = AsymmConfig(PAIR, (0,), (0,))
+        params = setup(config)
+        for bad in ([[[1.7, 2.2]]], [[["3", "4"]]], [[[1, 2.0]]],
+                    [np.array([[1.0, 2.0]])]):
+            with pytest.raises(TypeError):
+                MessageBank.from_ints(config, params, bad)
+            with pytest.raises(TypeError):
+                CoefficientBank.from_ints(config, params, bad)
+
+    def test_bank_takes_bools_numpy_integers_and_wide_ints(self):
+        config = AsymmConfig(PAIR, (0,), (0,))
+        params = setup(config)
+        q = params.field.q
+        expected = MessageBank.from_ints(config, params, [[[1, 3]]])
+        for same in ([[[True, np.int64(3)]]], [np.array([[1, 3]], dtype=np.int32)],
+                     [[[np.uint64(1), 3 + 5 * q]]]):
+            assert MessageBank.from_ints(config, params, same) == expected
+        # a mix that numpy would infer as float64 stays exact
+        wide = MessageBank.from_ints(config, params, [[[2**63, -1]]])
+        assert wide.values[0].tolist() == [[2**63 % q, q - 1]]
+
+    def test_noise_rejects_entries_that_are_not_integers(self):
+        config = AsymmConfig(TRIPLE, (1,), (1,))
+        params = setup(config, field_override=5)
+        messages = zero_bank(config, params)
+        coeffs = CoefficientBank.from_ints(config, params, [[[0]]])
+        for bad in (([[[0.5]]],), ([[["1"]]],)):
+            with pytest.raises(TypeError):
+                encode_storage(config, params, messages, noise=bad)
+            with pytest.raises(TypeError):
+                generate_queries(config, params, coeffs, noise=bad)
+        noise = ([[[np.int64(7)]]],)
+        assert encode_storage(config, params, messages, noise=noise).noise[0].tolist() == [[[2]]]
 
     def test_noise_shape_validation(self):
         config = AsymmConfig(PAIR, (1,), (0,))
@@ -462,3 +500,83 @@ class TestSampler:
     def test_two_element_field(self):
         draws = FieldSampler(PrimeField(2), 6).draw((200,))
         assert set(draws.tolist()) == {0, 1}
+
+
+def one_draw_per_set(field, seed, shapes):
+    """The blocks drawn one set at a time, then the next draw after them."""
+    sampler = FieldSampler(field, seed)
+    return tuple(sampler.draw(s) for s in shapes), sampler.draw((7,))
+
+
+def assert_same_blocks(blocks, expected):
+    assert [b.shape for b in blocks] == [e.shape for e in expected]
+    assert all(np.array_equal(b, e) for b, e in zip(blocks, expected))
+    assert not any(b.flags.writeable for b in blocks)
+
+
+class TestBatchedDraws:
+    CONFIGS = (
+        # x_m = 0 everywhere: every storage noise block is (0, L, K)
+        AsymmConfig(UNEVEN_SEVEN, (0, 0, 0, 0), (1, 2, 1, 2)),
+        # K_m = 1, 3, 2, with x and t each 0 on one set
+        AsymmConfig(StoragePattern(6, (MessageSet((1, 2, 3, 4), 1),
+                                       MessageSet((2, 3, 4, 5, 6), 3),
+                                       MessageSet((1, 3, 5, 6), 2))),
+                    (0, 2, 1), (1, 0, 1)),
+    )
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_draw_blocks_is_one_draw_per_set(self, config):
+        params = setup(config)
+        for depths in (None, config.x_vec, config.t_vec):
+            shapes = scheme._shapes(config, params.l_value, depths)
+            sampler = FieldSampler(params.field, 21)
+            blocks = sampler.draw_blocks(shapes)
+            expected, after = one_draw_per_set(params.field, 21, shapes)
+            assert_same_blocks(blocks, expected)
+            assert np.array_equal(sampler.draw((7,)), after)
+
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_banks_and_noise_match_per_set_draws(self, config):
+        params = setup(config)
+        field, l_value = params.field, params.l_value
+        bank_shapes = scheme._shapes(config, l_value)
+        messages = MessageBank.random(config, params, 3)
+        coeffs = CoefficientBank.random(config, params, 4)
+        assert_same_blocks(messages.values, one_draw_per_set(field, 3, bank_shapes)[0])
+        assert_same_blocks(coeffs.values, one_draw_per_set(field, 4, bank_shapes)[0])
+        shares = encode_storage(config, params, messages, 5)
+        queries = generate_queries(config, params, coeffs, 6)
+        storage = scheme._shapes(config, l_value, config.x_vec)
+        query = scheme._shapes(config, l_value, config.t_vec)
+        assert_same_blocks(shares.noise, one_draw_per_set(field, 5, storage)[0])
+        assert_same_blocks(queries.noise, one_draw_per_set(field, 6, query)[0])
+        assert (0, l_value, config.counts[0]) in storage + query
+
+
+MODULI = st.sampled_from([2, 3, 191, 2**31 - 1])
+SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=5)
+
+
+class TestReduce:
+    def check(self, a, q):
+        given_a = a.copy()
+        out = scheme._reduce(given_a, q)
+        assert out is given_a
+        assert out.dtype == a.dtype
+        assert np.array_equal(out, a % q)
+
+    @settings(max_examples=150, deadline=None)
+    @given(hnp.arrays(np.int64, SHAPES, elements=st.integers(-2**62, 2**62)), MODULI)
+    def test_int64_matches_remainder(self, a, q):
+        self.check(a, q)
+
+    @settings(max_examples=150, deadline=None)
+    @given(hnp.arrays(np.uint64, SHAPES, elements=st.integers(0, 2**64 - 1)), MODULI)
+    def test_uint64_matches_remainder(self, a, q):
+        self.check(a, q)
+
+    @pytest.mark.parametrize("q", [2, 3, 191, 2**31 - 1])
+    def test_int64_extremes(self, q):
+        info = np.iinfo(np.int64)
+        self.check(np.array([info.min, info.min + 1, -1, 0, info.max], dtype=np.int64), q)
