@@ -13,12 +13,12 @@ and (for queries) avoid every f point, every subset up to the threshold
 passes, and subsets are walked only for a group that fails the check,
 to name its violations.  The exhaustive audit is the slow ground truth:
 it reads the colluders' observations off the protocol itself, probing
-encode_storage and generate_queries once at zero and once with each
-unit vector of the secret and noise variables, then enumerates every
-realization of those variables over a tiny field, in blocks of int64
-assignments, and verifies that the all-zero observation occurs with
-every secret assignment.  The observations are linear, so then every
-observation does.
+encode_storage and generate_queries in one batched call each, on a
+stack of the zero vector and every unit vector of the secret and noise
+variables, then enumerates every realization of those variables over a
+tiny field, in blocks of int64 assignments, and verifies that the
+all-zero observation occurs with every secret assignment.  The
+observations are linear, so then every observation does.
 """
 
 from __future__ import annotations
@@ -177,10 +177,10 @@ def _variable_shapes(config: AsymmConfig, params: SchemeParams,
 def _probed_forms(config: AsymmConfig, params: SchemeParams,
                   subset: tuple[int, ...], side: str) -> np.ndarray:
     """The linear forms the servers of the subset observe, read off the
-    protocol: encode_storage or generate_queries runs once on all-zero
-    variables and once per unit vector, and each unit run less the zero
-    run gives one column of the forms (so a constant term is not read as
-    a coefficient).
+    protocol: one batched call of encode_storage or generate_queries runs
+    the stacked probes, all-zero variables first and then each unit
+    vector, and each unit run less the zero run gives one column of the
+    forms (so a constant term is not read as a coefficient).
 
     Columns follow the C-order flattening of the _variable_shapes arrays
     (secrets (m, k, l), then noise (m, d, l, k)); rows follow the sorted
@@ -190,17 +190,15 @@ def _probed_forms(config: AsymmConfig, params: SchemeParams,
     sizes = [prod(shape) for shape in shapes]
     protocol, bank = ((encode_storage, MessageBank) if side == "storage"
                       else (generate_queries, CoefficientBank))
-    held = [(m, group.index(n)) for n in sorted(subset)
-            for m, group in enumerate(params.groups) if n in group]
-    runs = []
-    for probe in np.eye(sum(sizes) + 1, sum(sizes), k=-1, dtype=np.int64):
-        parts = [part.reshape(shape)
-                 for part, shape in zip(np.split(probe, np.cumsum(sizes)[:-1]), shapes)]
-        blocks = protocol(config, params, bank(params.field, tuple(parts[:config.m_count])),
-                          noise=parts[config.m_count:]).blocks
-        runs.append(np.fromiter(itertools.chain.from_iterable(
-            blocks[m][r].flat for m, r in held), dtype=np.int64))
-    runs = np.array(runs)
+    probes = np.eye(sum(sizes) + 1, sum(sizes), k=-1, dtype=np.int64)
+    parts = [part.reshape(len(probes), *shape)
+             for part, shape in zip(np.split(probes, np.cumsum(sizes)[:-1], axis=1), shapes)]
+    blocks = protocol(config, params, bank(params.field, tuple(parts[:config.m_count])),
+                      noise=parts[config.m_count:]).blocks
+    # the zero-width first part keeps this defined when the subset holds no block
+    runs = np.concatenate([probes[:, :0]] + [
+        blocks[m][:, group.index(n)].reshape(len(probes), -1)
+        for n in sorted(subset) for m, group in enumerate(params.groups) if n in group], axis=1)
     return _reduce((runs[1:] - runs[0]).T, params.field.q)
 
 
@@ -306,7 +304,10 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
     subsets, to name the violations: every subset of up to x (or t)
     originals on small systems, a deterministic sample on larger ones.
     The report counts and flags the subsets that walk covers either way.
+    x and t must be the thresholds the system was built for.
     """
+    if (x, t) != (a.x, a.t):
+        raise DimensionMismatch(f"system built for x={a.x}, t={a.t}, audited at x={x}, t={t}")
     config = virtual_config(a)
     _check_params(config, params)
 

@@ -15,6 +15,7 @@ download counts tau_n that drive the virtual-server construction in
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -65,7 +66,8 @@ def asymptotic_capacity(p: StoragePattern, x: int, t: int) -> CapacityResult:
     """Exact asymptotic capacity plus the integer download profile tau.
 
     tau_n = L * D_n with L the lcm of the optimal vertex denominators,
-    so L / sum(tau) reproduces the capacity exactly.
+    so L / sum(tau) reproduces the capacity exactly, and L and tau share
+    no common factor.
     """
     if x < 0 or t < 0:
         raise ValueError("thresholds must be nonnegative")
@@ -83,6 +85,8 @@ def asymptotic_capacity(p: StoragePattern, x: int, t: int) -> CapacityResult:
     if any(s.denominator != 1 for s in scaled):
         raise InvariantViolation(f"L = {l_value} leaves a fractional download in {vertex}")
     tau = [int(s) for s in scaled]
+    if math.gcd(l_value, *tau) != 1:
+        raise InvariantViolation(f"L = {l_value} and tau {tau} are not in lowest terms")
     capacity = Fraction(1) / sol.optimum
     if capacity != Fraction(l_value, sum(tau)):
         raise InvariantViolation(f"capacity {capacity} is not L/sum(tau) = {l_value}/{sum(tau)}")

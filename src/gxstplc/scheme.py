@@ -27,9 +27,13 @@ evaluated by Horner's rule.
 Field data is held as read-only int64 residue arrays, one per message
 set m: message and coefficient banks are [K_m, L], noise is
 [depth_m, L, K_m], and share and query blocks are [|R_m|, L, K_m] with
-rows in the order of servers_of(m).  An intermediate value is at most
-two products of residues plus a residue (or a sum of residues), below
-2^63 for any q below ``ff.MAX_MODULUS``, so nothing overflows.  Every
+rows in the order of servers_of(m).  encode_storage and
+generate_queries also take banks and noise with the same optional
+leading batch axes, [..., K_m, L] and [..., depth_m, L, K_m], and
+return blocks [..., |R_m|, L, K_m]: one call runs a stack of rounds.
+An intermediate value is at most two products of residues plus a
+residue (or a sum of residues), below 2^63 for any q below
+``ff.MAX_MODULUS``, so nothing overflows.  Every
 array is reduced by ``_reduce``, an in-place floor division
 (a -= a // q * q): numpy's integer remainder has no vectorised path and
 takes about twice as long.  FieldElements appear only in the transcript
@@ -43,6 +47,7 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -157,9 +162,10 @@ class _Residues:
         return all(_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
+@lru_cache(maxsize=1024)
 def _rows(group: tuple[int, ...]) -> np.ndarray:
-    """0-based positions of a replication group's servers."""
-    return np.asarray(group) - 1
+    """0-based positions of a replication group's servers (read-only, cached)."""
+    return _frozen(np.asarray(group) - 1)
 
 
 def _reduce(a: np.ndarray, q: int) -> np.ndarray:
@@ -269,7 +275,7 @@ def setup(config: AsymmConfig, field_override: int | None = None) -> SchemeParam
     v = [None] * len(groups)
     for size in set(map(len, groups)):
         batch = [m for m, group in enumerate(groups) if len(group) == size]
-        members = alpha[_rows([groups[m] for m in batch])]      # [groups, size]
+        members = alpha[_rows(tuple(groups[m] for m in batch))]      # [groups, size]
         u[batch] = _node_products(f[None], members, q)
         for m, weights in zip(batch, _dual_weights(members, q)):
             v[m] = _frozen(weights)
@@ -325,12 +331,12 @@ class FieldSampler:
         return tuple(blocks)
 
 
-def _shapes(config: AsymmConfig, l_value: int,
-            lead: Sequence[int] | None = None) -> tuple[tuple[int, ...], ...]:
-    """Per-set array shapes: [K_m, L] for banks, [lead_m, L, K_m] otherwise."""
+def _shapes(config: AsymmConfig, l_value: int, lead: Sequence[int] | None = None,
+            batch: tuple[int, ...] = ()) -> tuple[tuple[int, ...], ...]:
+    """Per-set shapes after the batch axes: [K_m, L] for banks, [lead_m, L, K_m] otherwise."""
     if lead is None:
-        return tuple((k, l_value) for k in config.counts)
-    return tuple((d, l_value, k) for d, k in zip(lead, config.counts))
+        return tuple(batch + (k, l_value) for k in config.counts)
+    return tuple(batch + (d, l_value, k) for d, k in zip(lead, config.counts))
 
 
 def _checked(blocks: tuple[np.ndarray, ...], shapes: tuple[tuple[int, ...], ...],
@@ -401,24 +407,24 @@ class QueryBank(ShareBank):
 
 
 def _noise(config: AsymmConfig, params: SchemeParams, depths: tuple[int, ...],
-           rng_seed, noise) -> tuple[np.ndarray, ...]:
-    shapes = _shapes(config, params.l_value, depths)
+           rng_seed, noise, batch: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    shapes = _shapes(config, params.l_value, depths, batch)
     if noise is None:
         return FieldSampler(params.field, rng_seed).draw_blocks(shapes)
     return _checked(_to_residues(noise, params.field.q), shapes, "noise")
 
 
 def _mask(points: np.ndarray, noise: np.ndarray, q: int) -> np.ndarray:
-    """sum_d point^d * noise[d] mod q by Horner, one row per server.
+    """sum_d point^d * noise[..., d] mod q by Horner, one row per server.
 
-    points is [R] and noise [depth, L, K]; the result is [R, L, K], zero
-    at depth 0.
+    points is [R] and noise [..., depth, L, K]; the result is
+    [..., R, L, K], zero at depth 0.
     """
-    acc = np.empty((len(points),) + noise.shape[1:], dtype=np.int64)
-    acc[:] = noise[-1] if len(noise) else 0
-    for z in noise[-2::-1]:
+    acc = np.empty(noise.shape[:-3] + (len(points),) + noise.shape[-2:], dtype=np.int64)
+    acc[:] = noise[..., -1, None, :, :] if noise.shape[-3] else 0
+    for d in range(noise.shape[-3] - 2, -1, -1):
         acc *= points[:, None, None]
-        acc += z
+        acc += noise[..., d, None, :, :]
         _reduce(acc, q)
     return acc
 
@@ -426,15 +432,20 @@ def _mask(points: np.ndarray, noise: np.ndarray, q: int) -> np.ndarray:
 def encode_storage(config: AsymmConfig, params: SchemeParams,
                    messages: MessageBank, rng_seed=None, *,
                    noise: Sequence[np.ndarray] | None = None) -> ShareBank:
-    """Produce every server's coded share of every set it replicates."""
+    """Produce every server's coded share of every set it replicates.
+
+    Banks [..., K_m, L] with leading batch axes give blocks
+    [..., |R_m|, L, K_m]; noise, explicit or drawn, carries the same axes.
+    """
     q = params.field.q
-    _checked(messages.values, _shapes(config, params.l_value), "message bank")
-    noise = _noise(config, params, config.x_vec, rng_seed, noise)
+    batch = messages.values[0].shape[:-2] if messages.values else ()
+    _checked(messages.values, _shapes(config, params.l_value, batch=batch), "message bank")
+    noise = _noise(config, params, config.x_vec, rng_seed, noise, batch)
     blocks = []
     for group, w, z in zip(params.groups, messages.values, noise):
         rows = _rows(group)
         block = _mask(params.alpha[rows], z, q)
-        block += params.cauchy[rows][:, :, None] * w.T
+        block += params.cauchy[rows][:, :, None] * w.swapaxes(-1, -2)[..., None, :, :]
         _reduce(block, q)
         blocks.append(_frozen(block))
     return ShareBank(blocks=tuple(blocks), noise=noise)
@@ -443,16 +454,20 @@ def encode_storage(config: AsymmConfig, params: SchemeParams,
 def generate_queries(config: AsymmConfig, params: SchemeParams,
                      coeffs: CoefficientBank, rng_seed=None, *,
                      noise: Sequence[np.ndarray] | None = None) -> QueryBank:
-    """Produce every server's query, masking the coefficients t-deep."""
+    """Produce every server's query, masking the coefficients t-deep.
+
+    Batch axes work as in encode_storage.
+    """
     q = params.field.q
-    _checked(coeffs.values, _shapes(config, params.l_value), "coefficient bank")
-    noise = _noise(config, params, config.t_vec, rng_seed, noise)
+    batch = coeffs.values[0].shape[:-2] if coeffs.values else ()
+    _checked(coeffs.values, _shapes(config, params.l_value, batch=batch), "coefficient bank")
+    noise = _noise(config, params, config.t_vec, rng_seed, noise, batch)
     blocks = []
     for group, u, lam, z in zip(params.groups, params.u, coeffs.values, noise):
         a = params.alpha[_rows(group)]
         block = _mask(a, z, q)
         block *= _reduce(a[:, None] - params.f[None, :], q)[:, :, None]
-        block += u[:, None] * lam.T
+        block += (u[:, None] * lam.swapaxes(-1, -2))[..., None, :, :]
         _reduce(block, q)
         blocks.append(_frozen(block))
     return QueryBank(blocks=tuple(blocks), noise=noise)

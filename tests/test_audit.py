@@ -199,6 +199,37 @@ class TestExhaustive:
             exhaustive_independence_audit(TWO_SETS, setup(FOREIGN[other], field_override=5),
                                           (1,))
 
+    @pytest.mark.parametrize("pattern, subset", [
+        (TRIPLE, ()),
+        (StoragePattern(4, (MessageSet((1, 2, 3)),)), (4,)),
+    ], ids=["empty-subset", "server-in-no-group"])
+    def test_empty_observation_passes(self, pattern, subset):
+        config = AsymmConfig(pattern, (1,), (1,), l_value=1)
+        report = exhaustive_independence_audit(config, setup(config, field_override=5), subset)
+        assert report.passed
+        assert report.notes == ("storage: enumerated 25 joint realizations",
+                                "query: enumerated 25 joint realizations")
+
+    def test_one_protocol_call_per_side(self, monkeypatch):
+        calls = []
+
+        def counting(name):
+            real = getattr(audit, name)
+
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+            return spy
+
+        for name in ("encode_storage", "generate_queries"):
+            monkeypatch.setattr(audit, name, counting(name))
+        # 4 storage variables and 2 query variables
+        report = exhaustive_independence_audit(TWO_SETS, setup(TWO_SETS, field_override=5),
+                                               (1, 2))
+        assert report.notes == ("storage: enumerated 625 joint realizations",
+                                "query: enumerated 25 joint realizations")
+        assert calls == ["encode_storage", "generate_queries"]
+
     def test_unknown_side_rejected(self):
         config = AsymmConfig(PAIR, (1,), (0,))
         params = setup(config, field_override=5)
@@ -254,6 +285,14 @@ class TestMergedAudit:
         fewer = setup(dataclasses.replace(config, l_value=aug.l_value - 1))
         with pytest.raises(DimensionMismatch):
             merged_scheme_audit(aug, fewer, 1, 1)
+
+    def test_thresholds_must_match_the_system(self):
+        # at (0, 0) the audit would check nothing, at (3, 3) it would
+        # report violations against a sound scheme
+        aug, _, params = merged_setup(GRAPH_SIX, 1, 1)
+        for x, t in ((0, 0), (3, 3), (1, 0), (0, 1)):
+            with pytest.raises(DimensionMismatch):
+                merged_scheme_audit(aug, params, x, t)
 
     def test_sampling_kicks_in_for_wide_systems(self):
         p = StoragePattern(102, (MessageSet(tuple(range(1, 6))),))

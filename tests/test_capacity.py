@@ -168,3 +168,11 @@ class TestWrongVertex:
         monkeypatch.setattr(capacity, "lcm_of_denominators", lambda vertex: 1)
         with pytest.raises(InvariantViolation):
             asymptotic_capacity(GRAPH_SIX, 1, 1)
+
+    def test_tau_not_in_lowest_terms_rejected(self, monkeypatch):
+        # twice the lcm doubles L and every tau_n and keeps L / sum(tau)
+        # at the capacity, so only the lowest-terms check can see it
+        lcm = capacity.lcm_of_denominators
+        monkeypatch.setattr(capacity, "lcm_of_denominators", lambda vertex: 2 * lcm(vertex))
+        with pytest.raises(InvariantViolation, match="lowest terms"):
+            asymptotic_capacity(GRAPH_FOURTEEN, 1, 1)

@@ -52,7 +52,7 @@ MUTANTS = (
     # variable fewer plus an offset that a probe without the zero run
     # would read as the missing noise coefficient
     Mutant("constant-top-mask-term", "scheme.py",
-           "acc[:] = noise[-1] if len(noise) else 0",
+           "acc[:] = noise[..., -1, None, :, :] if noise.shape[-3] else 0",
            "acc[:] = 1",
            ("audit", "--x", "2", "--t", "0", "--exhaustive"), "exhaustive"),
     # queries without the (a - f_l) factor: the answers no longer decode

@@ -855,6 +855,16 @@ def reference_forms(config, params, subset, side):
     return n_secret, n_noise, forms
 
 
+def reference_form_matrix(config, params, subset, side):
+    """reference_forms as a dense [observed symbols, variables] array."""
+    n_secret, n_noise, terms = reference_forms(config, params, subset, side)
+    forms = np.zeros((len(terms), n_secret + n_noise), dtype=np.int64)
+    for row, term in enumerate(terms):
+        for variable, coeff in term:
+            forms[row, variable] = coeff
+    return forms
+
+
 def reference_first_failure(n_secret, forms, q):
     """The exhaustive enumeration by itertools.product into a dict of counts.
 
@@ -940,6 +950,39 @@ def test_exhaustive_audit_matches_reference_on_tiny_systems():
                     assert np.array_equal(_probed_forms(config, params, subset, side), expected)
     # over-collusion fails on both sides somewhere
     assert failures == {"storage:", "query:"}
+
+
+# shapes that TINY leaves out: two messages in a set (K_m = 2), two
+# slots (L = 2) and a set without noise on one side (depth 0); no
+# enumeration runs, so the cell cap does not apply
+SHAPED = {
+    "two-messages": AsymmConfig(StoragePattern(3, (MessageSet((1, 2, 3), 2),)),
+                                (1,), (1,), l_value=1),
+    "two-slots": AsymmConfig(StoragePattern(4, (MessageSet((1, 2, 3, 4)),)), (1,), (1,)),
+    "depth-zero": AsymmConfig(StoragePattern(4, (MessageSet((1, 2, 3), 2),
+                                                 MessageSet((2, 3, 4)))), (0, 1), (1, 0)),
+}
+
+
+@pytest.mark.parametrize("config", SHAPED.values(), ids=SHAPED.keys())
+def test_probed_forms_match_reference_beyond_tiny(config):
+    params = setup(config)
+    n = config.n_servers
+    for size in range(n + 1):
+        for subset in itertools.combinations(range(1, n + 1), size):
+            for side in ("storage", "query"):
+                assert np.array_equal(_probed_forms(config, params, subset, side),
+                                      reference_form_matrix(config, params, subset, side))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_probed_forms_match_reference_on_seeded_systems(seed):
+    config = random_config(random.Random(seed), n_max=6, m_max=3)
+    params = setup(config)
+    for subset in ((), (1,), tuple(range(1, config.n_servers + 1))):
+        for side in ("storage", "query"):
+            assert np.array_equal(_probed_forms(config, params, subset, side),
+                                  reference_form_matrix(config, params, subset, side))
 
 
 def test_exhaustive_audit_matches_reference_with_moved_points():

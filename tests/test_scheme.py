@@ -264,6 +264,99 @@ class TestEncode:
         assert setup(config, field_override=101) != params
 
 
+def random_stack(config, params, lead, batch, seed):
+    """Residue arrays [*batch, lead_m, L, K_m] per set ([*batch, K_m, L]
+    without lead), drawn from one generator."""
+    rng = np.random.default_rng(seed)
+    shapes = scheme._shapes(config, params.l_value, lead, batch)
+    return tuple(rng.integers(0, params.field.q, size=shape) for shape in shapes)
+
+
+PROTOCOLS = {
+    "storage": (encode_storage, MessageBank, lambda config: config.x_vec),
+    "query": (generate_queries, CoefficientBank, lambda config: config.t_vec),
+}
+
+
+class TestBatch:
+    # two messages per set, L = 2, and depth 0 on the query side of set 2
+    CONFIG = AsymmConfig(UNEVEN_NINE, (1, 2), (1, 0))
+
+    @pytest.mark.parametrize("side", PROTOCOLS)
+    def test_batch_of_one_is_the_unbatched_call(self, side):
+        protocol, bank, depths = PROTOCOLS[side]
+        params = setup(self.CONFIG)
+        values = random_stack(self.CONFIG, params, None, (), 1)
+        single = bank(params.field, values)
+        batched = bank(params.field, tuple(v[None] for v in values))
+        # seeded: the batch draws its noise as one [1, ...] block per set
+        plain = protocol(self.CONFIG, params, single, 7)
+        one = protocol(self.CONFIG, params, batched, 7)
+        assert [b.shape[0] for b in one.blocks + one.noise] == [1] * 4
+        assert plain == bank_of_first(one)
+        # explicit noise
+        noise = random_stack(self.CONFIG, params, depths(self.CONFIG), (), 2)
+        plain = protocol(self.CONFIG, params, single, noise=noise)
+        one = protocol(self.CONFIG, params, batched, noise=[z[None] for z in noise])
+        assert plain == bank_of_first(one)
+
+    @pytest.mark.parametrize("side", PROTOCOLS)
+    @pytest.mark.parametrize("batch", [(3,), (2, 2)])
+    def test_batch_is_the_stacked_calls(self, side, batch):
+        protocol, bank, depths = PROTOCOLS[side]
+        params = setup(self.CONFIG)
+        values = random_stack(self.CONFIG, params, None, batch, 3)
+        noise = random_stack(self.CONFIG, params, depths(self.CONFIG), batch, 4)
+        out = protocol(self.CONFIG, params, bank(params.field, values), noise=noise)
+        for index in np.ndindex(*batch):
+            one = protocol(self.CONFIG, params, bank(params.field, tuple(v[index] for v in values)),
+                           noise=[z[index] for z in noise])
+            assert all(np.array_equal(a[index], b) for a, b in zip(out.blocks, one.blocks))
+        # a seeded batch equals the explicit call on the noise it drew
+        seeded = protocol(self.CONFIG, params, bank(params.field, values), 5)
+        assert seeded == protocol(self.CONFIG, params, bank(params.field, values),
+                                  noise=seeded.noise)
+
+    @pytest.mark.parametrize("side", PROTOCOLS)
+    def test_batch_mismatch_rejected(self, side):
+        protocol, bank, depths = PROTOCOLS[side]
+        params = setup(self.CONFIG)
+        values = random_stack(self.CONFIG, params, None, (2,), 6)
+        noise = random_stack(self.CONFIG, params, depths(self.CONFIG), (3,), 7)
+        with pytest.raises(DimensionMismatch):
+            protocol(self.CONFIG, params, bank(params.field, values), noise=noise)
+        # unbatched noise for a batched bank
+        with pytest.raises(DimensionMismatch):
+            protocol(self.CONFIG, params, bank(params.field, values), noise=[z[0] for z in noise])
+        # the sets of one bank disagree on the batch
+        mixed = (values[0], values[1][:1])
+        with pytest.raises(DimensionMismatch):
+            protocol(self.CONFIG, params, bank(params.field, mixed), 8)
+
+    def test_only_the_protocol_takes_a_batch(self):
+        params = setup(self.CONFIG)
+        values = random_stack(self.CONFIG, params, None, (1,), 9)
+        with pytest.raises(DimensionMismatch):
+            MessageBank.from_ints(self.CONFIG, params, values)
+        with pytest.raises(DimensionMismatch):
+            CoefficientBank.from_ints(self.CONFIG, params, values)
+        shares = encode_storage(self.CONFIG, params, MessageBank(params.field, values), 10)
+        queries = generate_queries(self.CONFIG, params, CoefficientBank(params.field, values), 11)
+        with pytest.raises(DimensionMismatch):
+            collect_answers(self.CONFIG, params, shares, queries)
+        # one unbatched side is not enough either
+        plain = generate_queries(self.CONFIG, params,
+                                 CoefficientBank(params.field, tuple(v[0] for v in values)), 11)
+        with pytest.raises(DimensionMismatch):
+            collect_answers(self.CONFIG, params, shares, plain)
+
+
+def bank_of_first(out):
+    """A batched protocol output's first entry, as the unbatched record."""
+    return type(out)(blocks=tuple(b[0] for b in out.blocks),
+                     noise=tuple(z[0] for z in out.noise))
+
+
 class TestAnswers:
     def test_answer_uses_only_local_blocks(self):
         config = AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2))
