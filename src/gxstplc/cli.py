@@ -2,7 +2,9 @@
 
 Every command prints one JSON document to stdout; diagnostics go to
 stderr.  Exit codes: 0 when the command's checks all pass, 1 when a
-check fails (a decode mismatch, a failed audit), 2 for unusable input.
+check fails (a decode mismatch, a failed audit, or a failed proof: an
+``InvariantViolation``, which prints ``error: ...`` to stderr and
+nothing to stdout), 2 for unusable input (every other library error).
 Rationals are serialized as exact "p/q" strings.  Output for a given
 (command, inputs, seed) triple is byte-identical across runs.
 """
@@ -16,7 +18,7 @@ import random
 import sys
 
 from . import augment, audit, capacity, demos, scheme
-from .errors import GxstplcError
+from .errors import GxstplcError, InvariantViolation
 from .pattern import load_pattern, MessageSet, StoragePattern
 from .scheme import (
     AsymmConfig,
@@ -295,12 +297,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         payload, ok = _COMMANDS[args.command](args)
-    except GxstplcError as exc:
+    except (GxstplcError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, InvariantViolation) else 2
     print(json.dumps(payload, indent=2))
     return 0 if ok else 1
 

@@ -14,6 +14,9 @@ keeps the basic values as integer numerators over D; only the final
 vertex becomes fractions.Fraction.  While every entry is below 2**31,
 every product is below 2**62 and every difference of two below 2**63,
 so int64 cannot overflow; past that bound the arrays hold Python ints.
+The solver keeps running upper bounds on the entries and measures them
+only when a bound reaches 2**31, so the switch happens at the first
+pivot whose entries reach it, as if every pivot measured them.
 """
 
 from __future__ import annotations
@@ -106,7 +109,13 @@ def simplex_min(lp: LinearProgram) -> LpSolution:
     to (num a + delta P) // D, and ratios compare by cross-multiplying.
     Before each pivot, an entry of M or num at 2**31 or above turns both
     into Python ints (dtype object) for the rest of the solve, with the
-    same statements.
+    same statements.  The guard reads running upper bounds, not the
+    arrays: a pivot raises the bound on max |M| to bound (a + f) // D,
+    f the largest |entry| of the entering column, and the bound on
+    max |num| to (bound a + f P) // D (a flip adds f to it).  Only a
+    bound at the limit measures the entries; they promote if one is at
+    the limit and otherwise become the new bounds, so the promotion
+    comes at the same pivot as with a full scan before every pivot.
     """
     n, r = lp.n_vars, len(lp.rows)
     rows = np.array(lp.rows, dtype=np.int64).reshape(r, n)
@@ -117,24 +126,32 @@ def simplex_min(lp: LinearProgram) -> LpSolution:
     tableau[r, :n] = 1
     num = rows.sum(axis=1) - 1  # surplus at x = 1, nonnegative since every row covers
     basis = np.arange(n, n + r)
-    at_upper = np.arange(n + r) < n  # only structural variables (j < n) have x_j <= 1
+    # +1 for a variable at its upper bound (only structural j < n have x_j <= 1), else -1
+    sign = np.where(np.arange(n + r) < n, 1, -1)
+    # upper bounds on max |M| and max |num|, kept up to date by each pivot and flip
+    bound, num_bound = 1, int(num.max(initial=0))
     denom, pivots, bound_flips = 1, 0, 0
 
     while True:
         # basic columns have reduced cost 0 exactly, so only nonbasic ones qualify
-        improving = np.flatnonzero(np.where(at_upper, tableau[r] > 0, tableau[r] < 0))
-        if not improving.size:
+        improving = tableau[r] * sign > 0
+        entering = int(improving.argmax())
+        if not improving[entering]:
             break
-        entering = int(improving[0])
 
-        increasing = not at_upper[entering]
-        # per unit step of the entering variable, basic i moves by deltas[i] / D
-        deltas = -tableau[:r, entering] if increasing else tableau[:r, entering].copy()
+        # per unit step of the entering variable, basic i moves by s * M[i, e] / D
+        s = int(sign[entering])
+        col = tableau[:, entering].tolist()
+        fmax = max(map(abs, col))
         # ratio test on Python ints: basic i reaches 0 (or 1) after a step of t / q
         leave_pos, best_t, best_q, best_k = -1, 1, 0, n + r
-        for i, (d, v, k) in enumerate(zip(deltas.tolist(), num.tolist(), basis.tolist())):
-            if not (d < 0 or d > 0 and k < n):
-                continue
+        # rows whose entering entry is nonzero; the last is r, the nonzero reduced cost
+        nonzero = [i for i, c in enumerate(col) if c]
+        nums, basics = num.tolist(), basis.tolist()
+        for i in nonzero[:-1]:
+            d, v, k = s * col[i], nums[i], basics[i]
+            if d > 0 and k >= n:
+                continue  # a rising surplus has no upper limit
             t, q = (v, -d) if d < 0 else (denom - v, d)
             if t * best_q < best_t * q or (t * best_q == best_t * q and k < best_k):
                 leave_pos, best_t, best_q, best_k = i, t, q, k
@@ -142,34 +159,54 @@ def simplex_min(lp: LinearProgram) -> LpSolution:
         # an entering surplus always meets a limit: the region lies in the unit box
         if entering < n and best_q < best_t:
             # the entering variable swaps bounds without entering the basis
-            num += deltas
-            at_upper[entering] = not at_upper[entering]
+            num += tableau[:r, entering] * s
+            sign[entering] = -s
+            num_bound += fmax
             bound_flips += 1
             continue
 
-        if tableau.dtype != object and max(tableau.max(), -tableau.min(), num.max(),
-                                           -num.min()) >= _INT64_LIMIT:
-            tableau, num, deltas = (v.astype(object) for v in (tableau, num, deltas))
+        if tableau.dtype != object and max(bound, num_bound) >= _INT64_LIMIT:
+            # the bounds reached the limit: measure the entries, promote only if they did
+            bound = int(max(tableau.max(), -tableau.min()))
+            num_bound = int(max(num.max(), -num.min()))
+            if max(bound, num_bound) >= _INT64_LIMIT:
+                tableau, num = tableau.astype(object), num.astype(object)
         a = best_q
-        num = (num * a + deltas * best_t) // denom
-        num[leave_pos] = best_t if increasing else a - best_t
-        at_upper[basis[leave_pos]] = deltas[leave_pos] > 0
+        # over the step of best_t / a, basic i moves by moves[i] / (D a)
+        moves = tableau[:r, entering] * (s * best_t)
+        leave_value = best_t if s < 0 else a - best_t
+        num_bound = max((num_bound * a + fmax * abs(best_t)) // denom, abs(leave_value))
+        # the leaving variable stops at 1 if it was rising, at 0 if falling
+        sign[basis[leave_pos]] = 1 if s * col[leave_pos] > 0 else -1
         basis[leave_pos] = entering
-        prow = tableau[leave_pos] * (1 if tableau[leave_pos, entering] > 0 else -1)
-        factors = tableau[:, entering].copy()
-        factors[leave_pos] = 0
+        prow = tableau[leave_pos] * (1 if col[leave_pos] > 0 else -1)
         if a == denom:
-            changed = np.flatnonzero(factors)
-            tableau[changed] -= np.outer(factors[changed], prow) // denom
+            # only the rows with M[i, e] != 0 change
+            nonzero.remove(leave_pos)
+            changed = np.array(nonzero)
+            update = tableau[changed, entering, None] * prow
+            if denom != 1:
+                update //= denom
+                moves //= denom
+            tableau[changed] -= update
+            num += moves
         else:
+            # every row is rescaled, so the update runs over the whole array
+            factors = tableau[:, entering, None].copy()
+            factors[leave_pos] = 0
             tableau *= a
-            tableau -= np.outer(factors, prow)
+            tableau -= factors * prow
             tableau //= denom
+            num *= a
+            num += moves
+            num //= denom
+        num[leave_pos] = leave_value
         tableau[leave_pos] = prow
+        bound = max(bound, bound * (a + fmax) // denom)
         denom = a
         pivots += 1
 
-    values = at_upper[:n].astype(tableau.dtype) * denom
+    values = (sign[:n] > 0).astype(tableau.dtype) * denom
     values[basis[basis < n]] = num[basis < n]
     _check_feasible(values, denom, rows)
     vertex = tuple(Fraction(int(v), denom) for v in values)

@@ -101,6 +101,40 @@ class TestExamples:
         assert cap.capacity == F(1, 2)
 
 
+class TestClosedForms:
+    """Capacities with a closed form, at sizes the examples do not reach."""
+
+    @pytest.mark.parametrize("x, t", [(1, 1), (2, 0), (0, 2), (2, 1)])
+    def test_one_group(self, x, t):
+        # from rho = x + t (no decodable subset: capacity 0) up to 220 rows
+        for rho in range(x + t, 13):
+            cap = asymptotic_capacity(full_replication(rho), x, t)
+            assert cap.capacity == F(rho - x - t, rho)
+
+    @pytest.mark.parametrize("rho, pivots, flips", [(15, 161, 11), (19, 564, 15)])
+    def test_one_group_pivot_counts(self, rho, pivots, flips):
+        # Bland's rule stalls on a symmetric group: pinned so that the path stays put
+        sol = simplex_min(build_capacity_lp(full_replication(rho), 1, 1))
+        assert (sol.pivots, sol.bound_flips) == (pivots, flips)
+        assert sol.optimum == F(rho, rho - 2)
+
+    @pytest.mark.parametrize("x, t, expected", [(1, 0, F(12, 49)), (1, 1, F(3, 20))])
+    def test_disjoint_groups(self, x, t, expected):
+        # groups of 4, 5 and 3 servers: 1 / sum_m rho_m / (rho_m - x - t)
+        p = StoragePattern(12, (MessageSet((1, 2, 3, 4)), MessageSet((5, 6, 7, 8, 9)),
+                                MessageSet((10, 11, 12))))
+        cap = asymptotic_capacity(p, x, t)
+        assert cap.capacity == expected
+        assert cap.capacity == 1 / sum(F(rho, rho - x - t) for rho in p.replication_factors)
+
+    def test_depends_on_x_plus_t_only(self):
+        rng = random.Random(3304)
+        for _ in range(20):
+            x, t = rng.randint(0, 2), rng.randint(0, 2)
+            p = random_pattern(rng, n_max=7, m_max=3, x=x, t=t, max_rows=60)
+            assert asymptotic_capacity(p, x, t) == asymptotic_capacity(p, x + t, 0)
+
+
 class TestDegenerate:
     def test_zero_capacity_result(self):
         cap = asymptotic_capacity(GRAPH_SIX, 2, 2)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from gxstplc import capacity
 from gxstplc.cli import main
 from gxstplc.demos import GRAPH_FOURTEEN, GRAPH_SIX, UNEVEN_NINE, demo_names
 from gxstplc.errors import MalformedPattern
@@ -67,6 +68,18 @@ class TestCapacity:
         assert payload["degenerate"] is True
         assert payload["tau"] is None
         assert payload["vertex"] is None
+
+    def test_failed_proof_exits_one(self, capsys, monkeypatch, fourteen_json):
+        # twice the lcm keeps L / sum(tau) at the capacity; only the
+        # lowest-terms check fails, and a failed check is exit 1, not 2
+        lcm = capacity.lcm_of_denominators
+        monkeypatch.setattr(capacity, "lcm_of_denominators", lambda vertex: 2 * lcm(vertex))
+        code, out, err = run_cli(
+            capsys, "capacity", "--pattern", fourteen_json, "--x", "1", "--t", "1"
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "lowest terms" in err
 
 
 class TestPlan:

@@ -464,6 +464,20 @@ def test_promoted_tableau_matches_fraction_reference_on_example_patterns():
     assert "O" in kinds
 
 
+def test_promotion_pivot_at_small_limits():
+    # an entry of M or num at the limit turns the tableau into Python ints before
+    # the next pivot; the kinds at return (programs by (n_vars, rows)) pin that pivot
+    kinds_by_limit = {2: "OOOOOOOOOOOOOO", 3: "iOiOOOOOOOOOOO", 4: "iiiiOOOOOOOOOO",
+                      8: "iiiiiiiOOiOOOi", 16: "iiiiiiiiiiOOOi"}
+    lps = sorted(example_programs(), key=lambda lp: (lp.n_vars, lp.rows))
+    expected = [reference_simplex(lp)[0] for lp in lps]
+    for limit, expected_kinds in kinds_by_limit.items():
+        with pytest.MonkeyPatch.context() as mp, final_tableau_kinds() as kinds:
+            mp.setattr(exactlp, "_INT64_LIMIT", limit)
+            assert [simplex_min(lp) for lp in lps] == expected
+        assert "".join(kinds) == expected_kinds, limit
+
+
 @settings(max_examples=100, deadline=None)
 @given(covering_lps())
 def test_promoted_tableau_matches_fraction_reference(lp):
@@ -487,6 +501,20 @@ def test_simplex_matches_fraction_reference_on_larger_programs():
     # the exact division (|a| > 1 leaves D > 1) and the negation (a < 0) both run
     assert any(abs(a) > 1 for a in integer_pivots)
     assert any(a < 0 for a in integer_pivots)
+
+
+def test_simplex_matches_fraction_reference_on_sparse_columns():
+    # shaped like the merged audits' programs: 30 variables, mostly singleton
+    # rows, so an entering column is nonzero in one or two rows of 30
+    rng = random.Random(1)
+    order = rng.sample(range(30), 30)
+    members = [{j} for j in order[:24]] + [set(rng.sample(order[24:], 2)) for _ in range(6)]
+    rng.shuffle(members)
+    lp = LinearProgram(n_vars=30, rows=tuple(tuple(int(j in m) for j in range(30))
+                                             for m in members))
+    integer_pivots = assert_same_pivot_path(lp)
+    assert len(integer_pivots) == 30
+    assert any(abs(a) > 1 for a in integer_pivots)
 
 
 def reference_capacity_rows(pattern, x, t):
