@@ -22,7 +22,7 @@ from functools import cached_property
 from itertools import accumulate
 
 from .capacity import CapacityResult
-from .errors import DegenerateInput, InvariantViolation
+from .errors import DegenerateInput, DimensionMismatch, InvariantViolation
 from .pattern import MessageSet, StoragePattern
 
 VirtualServer = tuple[int, int]  # (original server, copy index), both 1-based
@@ -65,9 +65,13 @@ class AugmentedSystem:
         )
 
     def virtual_pattern(self, counts: tuple[int, ...] | None = None) -> StoragePattern:
-        """The augmented system as a flat pattern over virtual servers."""
+        """The augmented system as a flat pattern over virtual servers;
+        counts, one per set, default to one message each."""
         if counts is None:
             counts = tuple(1 for _ in self.r_bar)
+        if len(counts) != len(self.r_bar):
+            raise DimensionMismatch(
+                f"{len(counts)} message counts for {len(self.r_bar)} sets")
         sets = tuple(
             MessageSet(tuple(self.flat_id(vs) for vs in group), k)
             for group, k in zip(self.r_bar, counts)

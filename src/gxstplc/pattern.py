@@ -11,6 +11,7 @@ everywhere they are visible, matching the JSON interchange format:
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
@@ -20,12 +21,18 @@ from .errors import MalformedPattern
 
 @dataclass(frozen=True)
 class MessageSet:
-    """One replication group: which servers hold it, how many messages."""
+    """One replication group: which servers hold it, how many messages.
+
+    Server ids (kept sorted) and the count are stored as ints; a float
+    raises TypeError.
+    """
 
     servers: tuple[int, ...]
     count: int = 1
 
     def __post_init__(self):
+        object.__setattr__(self, "servers", tuple(sorted(map(operator.index, self.servers))))
+        object.__setattr__(self, "count", operator.index(self.count))
         if not self.servers:
             raise ValueError("a message set must be stored somewhere")
         if len(set(self.servers)) != len(self.servers):
@@ -34,15 +41,18 @@ class MessageSet:
             raise ValueError("servers are numbered from 1")
         if self.count < 1:
             raise ValueError("each message set holds at least one message")
-        object.__setattr__(self, "servers", tuple(sorted(self.servers)))
 
 
 @dataclass(frozen=True)
 class StoragePattern:
+    """Message sets over servers 1..n_servers; n_servers is stored as an
+    int (a float raises TypeError)."""
+
     n_servers: int
     message_sets: tuple[MessageSet, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "n_servers", operator.index(self.n_servers))
         if self.n_servers < 1:
             raise ValueError("need at least one server")
         if not self.message_sets:

@@ -20,9 +20,10 @@ entry while every noise product lands in a low-degree polynomial of
 alpha_n; the answer weights v_{n,m} (dual generalized Reed-Solomon
 coefficients) annihilate those polynomials in the decoding sums, which
 leaves a transposed-Vandermonde system at the f points; ``reconstruct``
-applies its closed-form inverse.  ``setup`` fixes every constant once,
-the Cauchy entries as one [N, L] table, and the noise sums are
-evaluated by Horner's rule.
+applies its closed-form inverse.  ``setup`` chooses only the field and
+the points; the [N, L] differences alpha_n - f_l, the Cauchy entries,
+u and v are derived from them on first use by ``SchemeParams``, and
+the noise sums are evaluated by Horner's rule.
 
 Field data is held as read-only int64 residue arrays, one per message
 set m: message and coefficient banks are [K_m, L], noise is
@@ -47,7 +48,7 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -192,21 +193,6 @@ def _product(factors: np.ndarray, q: int) -> np.ndarray:
     return factors[..., 0]
 
 
-def _node_products(points: np.ndarray, nodes: np.ndarray, q: int, *,
-                   skip_own: bool = False) -> np.ndarray:
-    """prod over nodes of (p - node) mod q, for each point p.
-
-    points [..., P] and nodes [..., K] share their leading axes.  With
-    skip_own, points and nodes are the same list and point i leaves out
-    node i: prod_{k != i} (a_i - a_k).
-    """
-    diff = _reduce(points[..., :, None] - nodes[..., None, :], q)
-    if skip_own:
-        own = np.arange(diff.shape[-1])
-        diff[..., own, own] = 1
-    return _product(diff, q)
-
-
 def _inverse(a: np.ndarray, q: int) -> np.ndarray:
     """Elementwise a^(q-2) mod q (Fermat), by square and multiply."""
     out = np.ones_like(a)
@@ -224,37 +210,74 @@ def _inverse(a: np.ndarray, q: int) -> np.ndarray:
 
 def _dual_weights(points: np.ndarray, q: int) -> np.ndarray:
     """prod_{k != i} (a_i - a_k)^{-1} for each point a_i, along the last axis."""
-    return _inverse(_node_products(points, points, q, skip_own=True), q)
-
-
-def _cauchy(alpha: np.ndarray, f: np.ndarray, q: int) -> np.ndarray:
-    """The Cauchy matrix [1/(alpha_n - f_l)], [len(alpha), len(f)]."""
-    return _inverse(alpha[:, None] - f[None, :], q)
+    diff = _reduce(points[..., :, None] - points[..., None, :], q)
+    own = np.arange(diff.shape[-1])
+    diff[..., own, own] = 1
+    return _inverse(_product(diff, q), q)
 
 
 @dataclass(frozen=True, eq=False)
 class SchemeParams(_Residues):
-    """Field constants fixed before any message or query exists."""
+    """What ``setup`` chooses: the field, the points and the groups.
+
+    Every protocol table derives from these on first use and is cached,
+    read-only, so a copy with moved points has tables that match them.
+    """
 
     field: PrimeField
-    l_value: int
     alpha: np.ndarray                      # [N]: one point per server
     f: np.ndarray                          # [L]: one point per decoded slot
-    u: np.ndarray                          # [M, L]: u[m-1, l-1]
-    v: tuple[np.ndarray, ...]              # v[m-1][r]: weight of group_of(m)[r]
-    cauchy: np.ndarray                     # [N, L]: 1/(alpha_n - f_l)
     groups: tuple[tuple[int, ...], ...]    # replication groups: row order of per-set arrays
 
     def group_of(self, m: int) -> tuple[int, ...]:
         return self.groups[m - 1]
 
+    @cached_property
+    def l_value(self) -> int:
+        return len(self.f)
+
+    @cached_property
+    def diff(self) -> np.ndarray:
+        """[N, L]: alpha_n - f_l."""
+        return _frozen(_reduce(self.alpha[:, None] - self.f[None, :], self.field.q))
+
+    @cached_property
+    def cauchy(self) -> np.ndarray:
+        """[N, L]: 1/(alpha_n - f_l)."""
+        return _frozen(_inverse(self.diff, self.field.q))
+
+    def _by_size(self):
+        """(sets, their [sets, size] server rows) for each group size."""
+        for size in set(map(len, self.groups)):
+            batch = [m for m, group in enumerate(self.groups) if len(group) == size]
+            yield batch, _rows(tuple(self.groups[m] for m in batch))
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """[M, L]: u[m-1, l-1] = prod over group_of(m) of (f_l - alpha_n),
+        which is (-1)^|R_m| times the product of the reduced diff entries."""
+        q = self.field.q
+        u = np.empty((len(self.groups), self.l_value), dtype=np.int64)
+        for batch, rows in self._by_size():
+            u[batch] = (-1) ** rows.shape[-1] * _product(self.diff[rows].swapaxes(-1, -2), q)
+        return _frozen(_reduce(u, q))
+
+    @cached_property
+    def v(self) -> tuple[np.ndarray, ...]:
+        """v[m-1][r]: the dual-GRS weight of group_of(m)[r]."""
+        v = [None] * len(self.groups)
+        for batch, rows in self._by_size():
+            for m, weights in zip(batch, _dual_weights(self.alpha[rows], self.field.q)):
+                v[m] = _frozen(weights)
+        return tuple(v)
+
 
 def setup(config: AsymmConfig, field_override: int | None = None) -> SchemeParams:
-    """Choose the field and precompute every protocol constant.
+    """Choose the field and the evaluation points.
 
     The default field is the smallest prime holding N + L distinct
     points; an explicit override must be a prime at least that large.
-    u and v are computed at once for all groups of one size.
+    The protocol tables derive from the record on first use.
     """
     n = config.n_servers
     l_value = config.l_effective
@@ -267,27 +290,11 @@ def setup(config: AsymmConfig, field_override: int | None = None) -> SchemeParam
                 f"need {needed} distinct points, field has {field_override}"
             )
         q = field_override
-    field = PrimeField(q)
-    alpha = _frozen(np.arange(1, n + 1, dtype=np.int64))
-    f = _frozen(_reduce(np.arange(n + 1, needed + 1, dtype=np.int64), q))
-    groups = tuple(config.pattern.servers_of(m) for m in range(1, config.m_count + 1))
-    u = np.empty((len(groups), l_value), dtype=np.int64)
-    v = [None] * len(groups)
-    for size in set(map(len, groups)):
-        batch = [m for m, group in enumerate(groups) if len(group) == size]
-        members = alpha[_rows(tuple(groups[m] for m in batch))]      # [groups, size]
-        u[batch] = _node_products(f[None], members, q)
-        for m, weights in zip(batch, _dual_weights(members, q)):
-            v[m] = _frozen(weights)
     return SchemeParams(
-        field=field,
-        l_value=l_value,
-        alpha=alpha,
-        f=f,
-        u=_frozen(u),
-        v=tuple(v),
-        cauchy=_frozen(_cauchy(alpha, f, q)),
-        groups=groups,
+        field=PrimeField(q),
+        alpha=_frozen(np.arange(1, n + 1, dtype=np.int64)),
+        f=_frozen(_reduce(np.arange(n + 1, needed + 1, dtype=np.int64), q)),
+        groups=tuple(config.pattern.servers_of(m) for m in range(1, config.m_count + 1)),
     )
 
 
@@ -464,9 +471,10 @@ def generate_queries(config: AsymmConfig, params: SchemeParams,
     noise = _noise(config, params, config.t_vec, rng_seed, noise, batch)
     blocks = []
     for group, u, lam, z in zip(params.groups, params.u, coeffs.values, noise):
-        a = params.alpha[_rows(group)]
+        rows = _rows(group)
+        a = params.alpha[rows]
         block = _mask(a, z, q)
-        block *= _reduce(a[:, None] - params.f[None, :], q)[:, :, None]
+        block *= params.diff[rows][:, :, None]
         block += (u[:, None] * lam.swapaxes(-1, -2))[..., None, :, :]
         _reduce(block, q)
         blocks.append(_frozen(block))
@@ -506,7 +514,7 @@ def reconstruct(answers: Sequence[FieldElement],
         raise DimensionMismatch("need exactly one answer per server")
     q = params.field.q
     scaled = np.array([a.value for a in answers], dtype=np.int64)
-    scaled = _reduce(scaled * _node_products(params.alpha, params.f, q), q)
+    scaled = _reduce(scaled * _product(params.diff, q), q)
     sums = _reduce(_reduce(scaled[:, None] * params.cauchy, q).sum(axis=0), q)
     decoded = _reduce(-_dual_weights(params.f, q) * sums, q)
     return tuple(map(params.field, decoded.tolist()))
@@ -550,7 +558,9 @@ def cauchy_vandermonde_check(alpha_nodes: Sequence[int], f_nodes: Sequence[int],
 
     with D_v the diagonal of prod_{k != i} (a_i - a_k) (products, not
     their inverses), V_f the f-point Vandermonde of height n, and D_u
-    the diagonal of u_j = prod_i (f_j - a_i).
+    the diagonal of u_j = prod_i (f_j - a_i).  D_v^{-1}, the Cauchy
+    entries and D_u are the tables of a one-group SchemeParams on these
+    points, the ones the protocol reads.
     """
     check_modulus(q)
     n, l = len(alpha_nodes), len(f_nodes)
@@ -559,12 +569,13 @@ def cauchy_vandermonde_check(alpha_nodes: Sequence[int], f_nodes: Sequence[int],
     vals = [operator.index(a) % q for a in (*alpha_nodes, *f_nodes)]
     if len(set(vals)) != len(vals):
         raise DuplicateNodes(f"evaluation points collide: {vals}")
-    points, f = np.array(vals[:n], dtype=np.int64), np.array(vals[n:], dtype=np.int64)
+    block = SchemeParams(PrimeField(q), np.array(vals[:n], dtype=np.int64),
+                         np.array(vals[n:], dtype=np.int64), (tuple(range(1, n + 1)),))
+    points, f = block.alpha, block.f
     # V_alpha . D_v^{-1} . C . D_u == -V_f, which is the factorization
     # because V_alpha is invertible (its points are distinct); row i of
     # the left side sums alpha_k^i times row k of D_v^{-1} C D_u
-    terms = _reduce(_reduce(_dual_weights(points, q)[:, None] * _cauchy(points, f, q), q)
-                    * _node_products(f, points, q), q)
+    terms = _reduce(_reduce(block.v[0][:, None] * block.cauchy, q) * block.u[0], q)
     powers = np.ones(l, dtype=np.int64)
     for _ in range(n):
         if not np.array_equal(_reduce(terms.sum(axis=0), q), _reduce(-powers, q)):

@@ -237,6 +237,21 @@ class TestExhaustive:
             exhaustive_independence_audit(config, params, (1,), side="bogus")
 
 
+def test_rank_audits_build_no_protocol_table():
+    # the certificates read only the points and the groups
+    config = AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2))
+    params = setup(config)
+    assert asymm_scheme_audit(config, params).passed
+    aug, _, merged = merged_setup(GRAPH_SIX, 1, 1)
+    assert merged_scheme_audit(aug, merged, 1, 1).passed
+    tables = {"diff", "cauchy", "u", "v"}
+    assert not tables & vars(params).keys()
+    assert not tables & vars(merged).keys()
+    # first use computes each table once and keeps it
+    assert all(getattr(params, name) is getattr(params, name) for name in tables)
+    assert tables <= vars(params).keys()
+
+
 class TestMergedAudit:
     def test_six_server_example(self):
         aug, _, params = merged_setup(GRAPH_SIX, 1, 1)

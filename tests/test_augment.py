@@ -14,9 +14,10 @@ from gxstplc.augment import (
 )
 from gxstplc.capacity import CapacityResult, asymptotic_capacity
 from gxstplc.demos import GRAPH_FOURTEEN, GRAPH_SIX
-from gxstplc.errors import DegenerateInput, InvariantViolation
+from gxstplc.errors import DegenerateInput, DimensionMismatch, InvariantViolation
 from gxstplc.exactlp import LpSolution
 from gxstplc.pattern import min_replication_slack
+from gxstplc.scheme import virtual_config
 
 
 def six_server_system():
@@ -170,6 +171,16 @@ class TestValidation:
             collusion_exposure(a, (7,))
         with pytest.raises(ValueError):
             collusion_exposure(a, (3, 3))
+
+    @pytest.mark.parametrize("counts", [(2,), (2, 2, 2)], ids=["one-short", "one-over"])
+    def test_one_count_per_set(self, counts):
+        # before, the extra count or the second set was silently dropped
+        a = six_server_system()
+        with pytest.raises(DimensionMismatch):
+            a.virtual_pattern(counts)
+        with pytest.raises(DimensionMismatch):
+            virtual_config(a, counts)
+        assert a.virtual_pattern((2, 3)).counts == (2, 3)
 
     def test_bad_flat_id_rejected(self):
         a = six_server_system()

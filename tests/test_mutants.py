@@ -5,10 +5,11 @@ and its old text must occur exactly once, so a refactor that moves the
 text fails here instead of silently dropping the mutant.  The test
 applies the edit to a temporary copy of the package and runs one CLI
 command on it in a subprocess, on a pattern that no test pins: the run
-must exit 1 from the check the entry names.  A changed digest or a
-wrong number in the output does not count; the product has to notice by
-itself.  The same command on the unmutated copy exits 0, so the failure
-is the mutant's.
+must exit 1 from the check the entry names, a false payload entry or a
+failed proof (``error:`` on stderr and nothing on stdout).  A changed
+digest or a wrong number in the output does not count; the product has
+to notice by itself.  The same command on the unmutated copy exits 0
+with a payload, so the failure is the mutant's.
 """
 
 import json
@@ -34,7 +35,8 @@ class Mutant:
     old: str
     new: str
     argv: tuple[str, ...]    # the CLI subcommand and its options, --pattern <file> appended
-    check: str               # the payload entry whose failure kills the mutant
+    check: str | None        # the payload entry whose failure kills the mutant;
+                             # None: a failed proof, with no payload at all
 
 
 MUTANTS = (
@@ -57,7 +59,7 @@ MUTANTS = (
            ("audit", "--x", "2", "--t", "0", "--exhaustive"), "exhaustive"),
     # queries without the (a - f_l) factor: the answers no longer decode
     Mutant("no-query-noise-factor", "scheme.py",
-           "        block *= _reduce(a[:, None] - params.f[None, :], q)[:, :, None]\n",
+           "        block *= params.diff[rows][:, :, None]\n",
            "",
            ("simulate", "--x", "0", "--t", "1"), "match"),
     # a reduction kernel that subtracts a // q copies of q - 1, not of q:
@@ -66,6 +68,12 @@ MUTANTS = (
            "    r *= q\n",
            "    r *= q - 1\n",
            ("simulate", "--x", "0", "--t", "1"), "match"),
+    # L twice the lcm of the vertex denominators: tau doubles with it, so
+    # the rate is unchanged, and only the lowest-terms proof notices
+    Mutant("doubled-l-value", "capacity.py",
+           "    l_value = lcm_of_denominators(vertex)\n",
+           "    l_value = 2 * lcm_of_denominators(vertex)\n",
+           ("capacity", "--x", "1", "--t", "0"), None),
 )
 
 
@@ -95,9 +103,15 @@ def test_product_rejects_mutant(mutant, tmp_path):
 
     clean = run_cli(copy, mutant.argv)
     assert clean.returncode == 0, clean.stderr
-    assert not failed(json.loads(clean.stdout)[mutant.check])
+    payload = json.loads(clean.stdout)
+    if mutant.check is not None:
+        assert not failed(payload[mutant.check])
 
     (copy / mutant.path).write_text(source.replace(mutant.old, mutant.new))
     run = run_cli(copy, mutant.argv)
     assert run.returncode == 1, run.stderr
-    assert failed(json.loads(run.stdout)[mutant.check])
+    if mutant.check is None:
+        assert run.stdout == ""
+        assert run.stderr.startswith("error:"), run.stderr
+    else:
+        assert failed(json.loads(run.stdout)[mutant.check])

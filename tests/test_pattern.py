@@ -3,10 +3,12 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
 from conftest import random_pattern
 from gxstplc.demos import GRAPH_FOURTEEN, GRAPH_SIX, UNEVEN_SEVEN
+from gxstplc.errors import MalformedPattern
 from gxstplc.pattern import (
     MessageSet,
     StoragePattern,
@@ -45,6 +47,31 @@ class TestValidation:
     def test_no_sets_rejected(self):
         with pytest.raises(ValueError):
             StoragePattern(3, ())
+
+    @pytest.mark.parametrize("build", [
+        lambda: MessageSet((1.0, 2, 3)),
+        lambda: MessageSet((1, 2, 3), count=1.5),
+        lambda: StoragePattern(3.5, (MessageSet((1, 2, 3)),)),
+    ], ids=["float-server-id", "float-count", "float-server-count"])
+    def test_floats_rejected(self, build):
+        # before, a float count even reached a capacity; the other two
+        # failed later with a bare TypeError or IndexError
+        with pytest.raises(TypeError):
+            build()
+
+    def test_integer_likes_stored_as_ints(self):
+        p = StoragePattern(np.int64(4), (MessageSet((np.int64(3), 1), count=np.int64(2)),))
+        assert p == StoragePattern(4, (MessageSet((1, 3), 2),))
+        assert {type(v) for v in (p.n_servers, p.count_of(1), *p.servers_of(1))} == {int}
+
+    @pytest.mark.parametrize("doc", [
+        {"servers": True, "message_sets": [{"servers": [1]}]},
+        {"servers": 2, "message_sets": [{"servers": [True, 2]}]},
+        {"servers": 2, "message_sets": [{"servers": [1, 2], "count": False}]},
+    ], ids=["bool-server-count", "bool-server-id", "bool-count"])
+    def test_documents_reject_bools(self, doc):
+        with pytest.raises(MalformedPattern):
+            pattern_from_dict(doc)
 
     def test_accessors(self):
         p = StoragePattern(5, (MessageSet((1, 2), 3), MessageSet((2, 4, 5), 1)))

@@ -44,7 +44,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_config, random_pattern
-from gxstplc import exactlp, scheme
+from gxstplc import exactlp
 from gxstplc.audit import (
     _SIDES,
     AuditReport,
@@ -263,6 +263,22 @@ def test_setup_matches_per_group_products(config, field_override):
         assert params.v[m].tolist() == [pow(int(p), q - 2, q) for p in
                                         per_column_products(points, points, q, skip_own=True)]
     assert params.cauchy.tolist() == [[pow(a - f_l, q - 2, q) for f_l in f] for a in alpha]
+
+
+@pytest.mark.parametrize("config", [RAGGED, SINGLE, MIXED], ids=["ragged", "single", "mixed"])
+def test_moved_points_carry_matching_tables(config):
+    params = setup(config, 2**31 - 1)
+    q = params.field.q
+    stale = params.cauchy
+    moved = dataclasses.replace(params, alpha=params.alpha * 7 + 1000)
+    assert not np.array_equal(moved.cauchy, stale)
+    alpha, f = moved.alpha.tolist(), moved.f.tolist()
+    for m, group in enumerate(moved.groups):
+        points = moved.alpha[np.asarray(group) - 1]
+        assert moved.u[m].tolist() == per_column_products(moved.f, points, q).tolist()
+        assert moved.v[m].tolist() == [pow(int(p), q - 2, q) for p in
+                                       per_column_products(points, points, q, skip_own=True)]
+    assert moved.cauchy.tolist() == [[pow(a - f_l, q - 2, q) for f_l in f] for a in alpha]
 
 
 @pytest.mark.parametrize("config", [RAGGED, SINGLE, MIXED], ids=["ragged", "single", "mixed"])
@@ -734,13 +750,11 @@ def test_merged_audit_matches_reference_on_random_patterns(seed, x, t):
 
 
 def with_alpha(params, changes):
-    """The params with some server points moved, and the Cauchy table
-    that the encoder reads moved with them."""
+    """The params with some server points moved."""
     alpha = params.alpha.copy()
     for n, value in changes.items():
         alpha[n - 1] = value
-    return dataclasses.replace(params, alpha=alpha,
-                               cauchy=scheme._cauchy(alpha, params.f, params.field.q))
+    return dataclasses.replace(params, alpha=alpha)
 
 
 def test_failing_sweeps_match_reference():

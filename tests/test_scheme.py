@@ -549,8 +549,8 @@ class TestIdentities:
         assert dual_grs_weights(np.array([1, 2]), 11) == dual_grs_weights([1, 2], 11)
 
     def test_cauchy_vandermonde_detects_a_wrong_factor(self, monkeypatch):
-        exact = scheme._node_products
-        monkeypatch.setattr(scheme, "_node_products", lambda *a, **k: exact(*a, **k) + 1)
+        exact = scheme._dual_weights
+        monkeypatch.setattr(scheme, "_dual_weights", lambda *a, **k: exact(*a, **k) + 1)
         assert not cauchy_vandermonde_check([1, 2, 3], [4, 5], 11)
 
     def test_alignment_identity_full_range(self):
