@@ -531,6 +531,15 @@ def expected_combination(config: AsymmConfig, messages: MessageBank,
     return tuple(map(field, acc.tolist()))
 
 
+def _lemma_points(nodes, q: int) -> list[int]:
+    """The nodes as distinct residues mod the prime q; a float raises TypeError."""
+    check_modulus(q)
+    vals = [operator.index(a) % q for a in nodes]
+    if len(set(vals)) != len(vals):
+        raise DuplicateNodes(f"points collide: {vals}")
+    return vals
+
+
 def dual_grs_weights(nodes: Sequence[int], q: int) -> tuple[int, ...]:
     """Weights v_i = prod_{j != i} (a_i - a_j)^{-1} mod the prime q.
 
@@ -538,10 +547,7 @@ def dual_grs_weights(nodes: Sequence[int], q: int) -> tuple[int, ...]:
     sum_i v_i a_i^j = 0.  At least two distinct nodes are required, as
     integers (a float raises TypeError).
     """
-    check_modulus(q)
-    vals = [operator.index(a) % q for a in nodes]
-    if len(set(vals)) != len(vals):
-        raise DuplicateNodes(f"nodes collide: {vals}")
+    vals = _lemma_points(nodes, q)
     if len(vals) < 2:
         raise DimensionMismatch("need at least two nodes")
     return tuple(_dual_weights(np.array(vals, dtype=np.int64), q).tolist())
@@ -558,35 +564,27 @@ def cauchy_vandermonde_check(alpha_nodes: Sequence[int], f_nodes: Sequence[int],
 
     with D_v the diagonal of prod_{k != i} (a_i - a_k) (products, not
     their inverses), V_f the f-point Vandermonde of height n, and D_u
-    the diagonal of u_j = prod_i (f_j - a_i).  D_v^{-1}, the Cauchy
-    entries and D_u are the tables of a one-group SchemeParams on these
-    points, the ones the protocol reads.
+    the diagonal of u_j = prod_i (f_j - a_i).  Since V_alpha is
+    invertible, that is V_alpha . D_v^{-1} . C . D_u == -V_f, and entry
+    (i, j) of it is ``alignment_identity_check`` at power i - 1 and
+    slot j on a one-group SchemeParams over these points: the check
+    reads the protocol's own v, Cauchy and u tables.
     """
-    check_modulus(q)
     n, l = len(alpha_nodes), len(f_nodes)
+    vals = _lemma_points((*alpha_nodes, *f_nodes), q)
     if not n >= l >= 1:
         raise DimensionMismatch(f"need n >= l >= 1 points, got n={n}, l={l}")
-    vals = [operator.index(a) % q for a in (*alpha_nodes, *f_nodes)]
-    if len(set(vals)) != len(vals):
-        raise DuplicateNodes(f"evaluation points collide: {vals}")
     block = SchemeParams(PrimeField(q), np.array(vals[:n], dtype=np.int64),
                          np.array(vals[n:], dtype=np.int64), (tuple(range(1, n + 1)),))
-    points, f = block.alpha, block.f
-    # V_alpha . D_v^{-1} . C . D_u == -V_f, which is the factorization
-    # because V_alpha is invertible (its points are distinct); row i of
-    # the left side sums alpha_k^i times row k of D_v^{-1} C D_u
-    terms = _reduce(_reduce(block.v[0][:, None] * block.cauchy, q) * block.u[0], q)
-    powers = np.ones(l, dtype=np.int64)
-    for _ in range(n):
-        if not np.array_equal(_reduce(terms.sum(axis=0), q), _reduce(-powers, q)):
-            return False
-        terms = _reduce(terms * points[:, None], q)
-        powers = _reduce(powers * f, q)
-    return True
+    return all(alignment_identity_check(block, 1, i, j)
+               for i in range(1, n + 1) for j in range(1, l + 1))
 
 
 def alignment_identity_check(params: SchemeParams, m: int, i: int, l: int) -> bool:
-    """Check sum over R_m of v u alpha^{i-1}/(alpha - f_l) == -f_l^{i-1}."""
+    """Check sum over R_m of v u alpha^{i-1}/(alpha - f_l) == -f_l^{i-1},
+    for a set 1 <= m <= M, a power i >= 1 and a slot 1 <= l <= L."""
+    if not (1 <= m <= len(params.groups) and 1 <= l <= params.l_value and i >= 1):
+        raise DimensionMismatch(f"no identity at m={m}, i={i}, l={l}")
     q = params.field.q
     f_l = int(params.f[l - 1])
     u_ml = int(params.u[m - 1, l - 1])

@@ -5,10 +5,11 @@ at most three message sets of one message each, up to relabelling the
 servers: groups of at least two servers, repeated and nested groups and
 unused servers included.  It is generated here, not pinned.  Each
 pattern runs at every (x, t) of a fixed list that leaves its smallest
-group room to decode, and each run checks the paper's claims end to
-end: the merged scheme's rate equals the capacity, the decode matches
-the plaintext combination, the merged audit passes, and the capacity
-depends on x + t alone.
+group room to decode, and again with two messages per set where t = 0
+(there the bound is exact for every K).  Each run checks the paper's
+claims end to end: the merged scheme's rate equals the capacity, the
+decode matches the plaintext combination, the merged audit passes, and
+the capacity depends on x + t alone.
 """
 
 from fractions import Fraction
@@ -49,13 +50,18 @@ def test_theorem_on_every_small_pattern():
             for x, t in THRESHOLDS:
                 if min(pattern.replication_factors) <= x + t:
                     continue
-                sim = simulate_merged(pattern, x, t, seed=runs)
-                capacity, where = sim.capacity.capacity, (pattern, x, t)
-                # L decoded symbols for the sum of the original servers' downloads
-                rate = Fraction(len(sim.run.transcript.decoded), sum(sim.downloads))
-                assert rate == capacity, where
-                assert sim.run.match, where
-                assert merged_scheme_audit(sim.augmented, sim.run.params, x, t).passed, where
-                assert asymptotic_capacity(pattern, x + t, 0).capacity == capacity, where
-                runs += 1
-    assert runs == 6 + 35 + 128 + 376
+                # at t = 0 the bound is exact for every K, so two messages per set run too
+                for count in (1, 2) if t == 0 else (1,):
+                    p = StoragePattern(n, tuple(MessageSet(ms.servers, count)
+                                                for ms in pattern.message_sets))
+                    sim = simulate_merged(p, x, t, seed=runs)
+                    capacity, where = sim.capacity.capacity, (p, x, t)
+                    # L decoded symbols for the sum of the original servers' downloads
+                    rate = Fraction(len(sim.run.transcript.decoded), sum(sim.downloads))
+                    assert rate == capacity, where
+                    assert sim.run.match, where
+                    assert merged_scheme_audit(sim.augmented, sim.run.params, x, t).passed, where
+                    assert asymptotic_capacity(p, x + t, 0).capacity == capacity, where
+                    runs += 1
+    # 545 runs at one message per set, and 234 at two (t = 0)
+    assert runs == 6 + 35 + 128 + 376 + 234

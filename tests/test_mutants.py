@@ -4,12 +4,13 @@ Each mutant is an exact (file, old text, new text) edit of the package,
 and its old text must occur exactly once, so a refactor that moves the
 text fails here instead of silently dropping the mutant.  The test
 applies the edit to a temporary copy of the package and runs one CLI
-command on it in a subprocess, on a pattern that no test pins: the run
-must exit 1 from the check the entry names, a false payload entry or a
-failed proof (``error:`` on stderr and nothing on stdout).  A changed
-digest or a wrong number in the output does not count; the product has
-to notice by itself.  The same command on the unmutated copy exits 0
-with a payload, so the failure is the mutant's.
+command on it in a subprocess, on a pattern that no test pins when the
+command reads one: the run must exit 1 from the check the entry names,
+a false or failed payload entry, or a failed proof (``error:`` on
+stderr and nothing on stdout).  A changed digest or a wrong number in
+the output does not count; the product has to notice by itself.  The
+same command on the unmutated copy exits 0 with a payload, so the
+failure is the mutant's.
 """
 
 import json
@@ -34,7 +35,8 @@ class Mutant:
     path: str                # relative to the package
     old: str
     new: str
-    argv: tuple[str, ...]    # the CLI subcommand and its options, --pattern <file> appended
+    argv: tuple[str, ...]    # the CLI subcommand and its options, --pattern <file>
+                             # appended unless the command is PATTERNLESS
     check: str | None        # the payload entry whose failure kills the mutant;
                              # None: a failed proof, with no payload at all
 
@@ -74,23 +76,43 @@ MUTANTS = (
            "    l_value = lcm_of_denominators(vertex)\n",
            "    l_value = 2 * lcm_of_denominators(vertex)\n",
            ("capacity", "--x", "1", "--t", "0"), None),
+    # server 3's point moved onto server 2's: the rank certificates of plain
+    # audit see the two colluders span one noise dimension, not two
+    Mutant("colliding-points", "scheme.py",
+           "alpha=_frozen(np.arange(1, n + 1, dtype=np.int64)),",
+           "alpha=_frozen(np.minimum(np.arange(1, n + 1, dtype=np.int64), n - 1)),",
+           ("audit", "--x", "2", "--t", "0"), "certificates"),
+    # the alignment identity's right side without its minus sign: the lemma
+    # checks fail, the Cauchy-Vandermonde factorization with them
+    Mutant("alignment-sign", "scheme.py",
+           "-pow(f_l, i - 1, q) % q",
+           "pow(f_l, i - 1, q) % q",
+           ("lemmas", "--trials", "3"), "all_passed"),
 )
+
+# commands that read no pattern, so run_cli passes them no --pattern
+PATTERNLESS = {"lemmas"}
 
 
 def run_cli(package: Path, argv: tuple[str, ...]) -> subprocess.CompletedProcess:
     pattern = package.parent / "pattern.json"
     save_pattern(TRIANGLE, pattern)
+    if argv[0] not in PATTERNLESS:
+        argv = (*argv, "--pattern", str(pattern))
     env = {**os.environ, "PYTHONPATH": str(package.parent)}
     return subprocess.run(
-        [sys.executable, "-m", "gxstplc", *argv, "--pattern", str(pattern)],
+        [sys.executable, "-m", "gxstplc", *argv],
         capture_output=True, text=True, env=env, cwd=package.parent, timeout=60,
     )
 
 
 def failed(entry) -> bool:
-    """A boolean check is false, or a list of audit entries holds one that failed."""
+    """A boolean check is false, an audit entry failed, or a list of audit
+    entries holds one that failed."""
     if isinstance(entry, bool):
         return not entry
+    if isinstance(entry, dict):
+        return not entry["passed"]
     return any(not e["passed"] for e in entry)
 
 

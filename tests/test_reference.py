@@ -43,7 +43,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_config, random_pattern
+from conftest import random_config, random_covering_lp, random_pattern
 from gxstplc import exactlp
 from gxstplc.audit import (
     _SIDES,
@@ -492,6 +492,20 @@ def test_promotion_pivot_at_small_limits():
             mp.setattr(exactlp, "_INT64_LIMIT", limit)
             assert [simplex_min(lp) for lp in lps] == expected
         assert "".join(kinds) == expected_kinds, limit
+
+
+def test_surplus_numerators_reach_a_small_limit_first():
+    # on this program the surplus numerators cross limits 11 to 13 while every
+    # tableau entry stays below them, so only the running bound on max |num|
+    # (updated at each pivot) promotes the tableau in time
+    lp = random_covering_lp(random.Random(2047), n_max=14, rows_max=70)
+    assert (lp.n_vars, len(lp.rows)) == (11, 26)
+    expected = reference_simplex(lp)[0]
+    for limit in (11, 12, 13):
+        with pytest.MonkeyPatch.context() as mp, final_tableau_kinds() as kinds:
+            mp.setattr(exactlp, "_INT64_LIMIT", limit)
+            assert simplex_min(lp) == expected
+        assert kinds == ["O"], limit
 
 
 @settings(max_examples=100, deadline=None)

@@ -564,6 +564,14 @@ class TestIdentities:
                 # one degree past the group size the cancellation breaks
                 assert not alignment_identity_check(params, m, rho + 1, l)
 
+    @pytest.mark.parametrize("m,i,l", [(0, 1, 0), (1, 1, 0), (1, 0, 1), (3, 1, 1), (1, 1, 3)])
+    def test_alignment_identity_rejects_indices_out_of_range(self, m, i, l):
+        # two sets and two slots, so 0 and 3 lie outside both index ranges;
+        # powers start at i = 1 (alpha^0)
+        params = setup(AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2)))
+        with pytest.raises(DimensionMismatch):
+            alignment_identity_check(params, m, i, l)
+
 
 class TestSampler:
     def test_deterministic(self):
