@@ -15,10 +15,13 @@ to name its violations.  The exhaustive audit is the slow ground truth:
 it reads the colluders' observations off the protocol itself, probing
 encode_storage and generate_queries in one batched call each, on a
 stack of the zero vector and every unit vector of the secret and noise
-variables, then enumerates every realization of those variables over a
-tiny field, in blocks of int64 assignments, and verifies that the
-all-zero observation occurs with every secret assignment.  The
-observations are linear, so then every observation does.
+variables, then compares every realization of those variables over a
+tiny field and verifies that the all-zero observation occurs with every
+secret assignment.  The observations are linear, so then every
+observation does.  The trailing variables' observations come from one
+table built by addition, and the leading variables are walked in chunks
+of prefixes, each cell of a chunk observing zero where its table column
+cancels its prefix.
 """
 
 from __future__ import annotations
@@ -213,17 +216,37 @@ def _misses_secrets(forms: np.ndarray, n_secret: int, q: int) -> bool:
     (Each (observation, secret) pair that occurs at all occurs equally
     often, so counts need no check.)  Assignments are numbered in
     itertools.product order (the last variable runs fastest, the secrets
-    lead) and enumerated in blocks of _CELL_BLOCK.
+    lead), and every one of them is compared.
+
+    The k trailing variables, k the largest with q^k <= _CELL_BLOCK, are
+    tabulated once: column j of a [rows, q^k] table is the observation of
+    their j-th assignment, built one variable at a time by adding its
+    multiples to the table so far and subtracting q where an entry
+    reaches q.  The leading variables are walked in chunks of
+    _CELL_BLOCK // q^k prefixes, each split into its base-q digits; a
+    cell observes zero exactly when its table column equals the negated
+    observation of its prefix in every row.
     """
-    n_vars = forms.shape[1]
-    cells = q ** n_vars
+    rows, n_vars = forms.shape
+    k = 0
+    while k < n_vars and q ** (k + 1) <= _CELL_BLOCK:
+        k += 1
+    lead = n_vars - k
+    tail = np.zeros((rows, 1), dtype=np.int64)
+    for col in forms[:, lead:].T:
+        multiples = _reduce(np.outer(col, np.arange(q, dtype=np.int64)), q)
+        tail = (tail[:, :, None] + multiples[:, None, :]).reshape(rows, tail.shape[1] * q)
+        tail[tail >= q] -= q
+    width, prefixes = q ** k, q ** lead
     noise_states = q ** (n_vars - n_secret)
-    digit = q ** np.arange(n_vars - 1, -1, -1, dtype=np.int64)
+    digit = q ** np.arange(lead - 1, -1, -1, dtype=np.int64)
     seen = np.zeros(q ** n_secret, dtype=bool)
-    for start in range(0, cells, _CELL_BLOCK):
-        index = np.arange(start, min(start + _CELL_BLOCK, cells), dtype=np.int64)
-        observed = _reduce(_reduce(index[:, None] // digit, q) @ forms.T, q)
-        seen[index[~observed.any(axis=1)] // noise_states] = True
+    chunk = _CELL_BLOCK // width
+    for h0 in range(0, prefixes, chunk):
+        prefix = np.arange(h0, min(h0 + chunk, prefixes), dtype=np.int64)
+        need = _reduce(-(forms[:, :lead] @ _reduce(prefix // digit[:, None], q)), q)
+        zero = np.logical_and.reduce(tail[:, None, :] == need[:, :, None], axis=0)
+        seen[(np.flatnonzero(zero) + h0 * width) // noise_states] = True
     return not seen.all()
 
 

@@ -12,6 +12,7 @@ Rationals are serialized as exact "p/q" strings.  Output for a given
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -35,7 +36,10 @@ def _int_vector(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers: {exc}")
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one: parsing leaves it unchanged and no default is mutable."""
     parser = argparse.ArgumentParser(
         prog="gxstplc",
         description="Capacity, planning, simulation and audit for private "

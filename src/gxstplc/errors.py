@@ -18,7 +18,8 @@ class DegeneratePattern(GxstplcError):
 
 
 class DegenerateInput(GxstplcError):
-    """Augmentation was given a degenerate capacity result."""
+    """Augmentation was given a degenerate capacity result, or a round a
+    negative seed."""
 
 
 class DegenerateConfig(GxstplcError):

@@ -57,6 +57,7 @@ from .augment import AugmentedSystem, generate_augmented_system
 from .capacity import CapacityResult, asymptotic_capacity
 from .errors import (
     DegenerateConfig,
+    DegenerateInput,
     DimensionMismatch,
     DuplicateNodes,
     FieldTooSmall,
@@ -648,8 +649,10 @@ def simulate(config: AsymmConfig, seed: int,
 
     A single seed drives four independent streams (messages,
     coefficients, storage noise, query noise), so identical inputs give
-    identical transcripts.
+    identical transcripts.  The seed must be a non-negative integer.
     """
+    if seed < 0:
+        raise DegenerateInput(f"seed must be a non-negative integer, got seed={seed}")
     params = setup(config, field_override)
     msg_ss, coeff_ss, storage_ss, query_ss = np.random.SeedSequence(seed).spawn(4)
     messages = MessageBank.random(config, params, msg_ss)

@@ -1,6 +1,10 @@
 """End-to-end command-line behavior: payload shapes and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -277,6 +281,13 @@ class TestDemo:
         _, b, _ = run_cli(capsys, "demo", "ex-4.1.2", "--seed", "1")
         assert a != b
 
+    def test_negative_seed_named(self, capsys, six_json):
+        for argv in (("demo", "ex-4.1.1"), ("demo", "ex-4.2-1"),
+                     ("simulate", "--pattern", six_json, "--x", "1", "--t", "1")):
+            code, out, err = run_cli(capsys, *argv, "--seed", "-5")
+            assert (code, out) == (2, "")
+            assert err == "error: seed must be a non-negative integer, got seed=-5\n"
+
     def test_unknown_name(self, capsys):
         code, _, err = run_cli(capsys, "demo", "nonexistent")
         assert code == 2
@@ -335,3 +346,18 @@ class TestBadInput:
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_usage_error_leaves_the_shared_parser_clean(self, capsys, six_json):
+        argv = ["simulate", "--pattern", six_json, "--x", "1", "--t", "1", "--seed", "3"]
+        assert run_cli(capsys, *argv)[0] == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--pattern", six_json, "--x", "one"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, *argv)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        fresh = subprocess.run(
+            [sys.executable, "-m", "gxstplc", *argv], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert (code, out) == (fresh.returncode, fresh.stdout)

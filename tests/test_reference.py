@@ -1055,11 +1055,12 @@ def test_exhaustive_audit_matches_reference_with_moved_points():
 
 @st.composite
 def raw_forms(draw):
-    """(q, n_secret, forms): 0-4 random observed symbols over 1-3 secrets
-    and 0-3 noise variables."""
-    q = draw(st.sampled_from((2, 3, 5, 7)))
-    n_secret, n_noise = draw(st.integers(1, 3)), draw(st.integers(0, 3))
-    shape = (draw(st.integers(0, 4)), n_secret + n_noise)
+    """(q, n_secret, forms): 0-5 random observed symbols over 1-8
+    variables, at least one of them a secret, with at most 2 * 10^5 cells."""
+    q = draw(st.sampled_from((2, 3, 5, 7, 11)))
+    n_vars = draw(st.integers(1, max(v for v in range(1, 9) if q ** v <= 2 * 10**5)))
+    n_secret = draw(st.integers(1, n_vars))
+    shape = (draw(st.integers(0, 5)), n_vars)
     entries = draw(st.lists(st.integers(0, q - 1), min_size=prod(shape), max_size=prod(shape)))
     return q, n_secret, np.array(entries, dtype=np.int64).reshape(shape)
 
@@ -1072,3 +1073,33 @@ def test_zero_observation_decides_on_raw_forms(case):
     assert _misses_secrets(forms, n_secret, q) == (failure is not None)
     # a leak shows first at the zero observation, and never as uneven counts
     assert failure in (None, ((0,) * len(forms), "misses some secrets"))
+
+
+# forms that place the secrets across the enumeration's trailing-variable
+# table and its chunks of leading prefixes, with the verdict each must get:
+# (q, n_secret, n_vars, rows, leaks)
+LAYOUTS = {
+    # q > _CELL_BLOCK: no variable fits the table, the one variable spans two chunks
+    "wide-variable-leak": (4099, 1, 1, [[1]], True),
+    "wide-variable-blind": (4099, 1, 1, [[0], [0]], False),
+    # 2^13 cells, chunks of one prefix: secret 1, the only one missed, fills the last
+    "chunks-leak": (2, 1, 13, [[1] + [0] * 12], True),
+    "chunks-masked": (2, 1, 13, [[1] + [0] * 11 + [1]], False),
+    # 11^4 cells, chunks of three prefixes, the last one of two
+    "short-last-chunk-leak": (11, 1, 4, [[3, 0, 0, 0], [0, 1, 0, 0]], True),
+    "short-last-chunk-masked": (11, 1, 4, [[3, 0, 0, 7], [0, 1, 5, 0]], False),
+    # every variable a secret, no noise
+    "no-noise-leak": (5, 6, 6, [[0, 0, 0, 0, 0, 3]], True),
+    "no-noise-blind": (5, 6, 6, [[0] * 6, [0] * 6], False),
+    # nothing observed, so nothing can leak
+    "zero-rows": (5, 2, 6, [], False),
+}
+
+
+@pytest.mark.parametrize("case", LAYOUTS.values(), ids=LAYOUTS.keys())
+def test_zero_observation_decides_on_every_layout(case):
+    q, n_secret, n_vars, rows, leaks = case
+    forms = np.array(rows, dtype=np.int64).reshape(len(rows), n_vars)
+    failure = reference_first_failure(n_secret, forms, q)
+    assert failure == (((0,) * len(rows), "misses some secrets") if leaks else None)
+    assert _misses_secrets(forms, n_secret, q) == leaks

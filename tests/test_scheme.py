@@ -14,6 +14,7 @@ from gxstplc import scheme
 from gxstplc.demos import GRAPH_SIX, UNEVEN_NINE, UNEVEN_SEVEN
 from gxstplc.errors import (
     DegenerateConfig,
+    DegenerateInput,
     DimensionMismatch,
     DuplicateNodes,
     FieldTooSmall,
@@ -429,6 +430,13 @@ class TestRoundTrip:
     def test_different_seeds_differ(self):
         config = AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2))
         assert simulate(config, 0).messages != simulate(config, 1).messages
+
+    def test_negative_seed_named(self):
+        config = AsymmConfig(UNEVEN_NINE, (1, 2), (1, 2))
+        with pytest.raises(DegenerateInput, match="seed=-5"):
+            simulate(config, -5)
+        with pytest.raises(DegenerateInput, match="seed=-1"):
+            simulate_merged(GRAPH_SIX, 1, 1, seed=-1)
 
     def test_explicit_protocol_run(self):
         config = AsymmConfig(TRIPLE, (1,), (1,), l_value=1)
