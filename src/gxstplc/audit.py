@@ -49,7 +49,7 @@ from .scheme import (
 )
 
 _EXHAUSTIVE_CELL_CAP = 10**7
-_EXHAUSTIVE_SUBSET_CAP = 5000
+_MERGED_FULL_WALK_CAP = 5000   # most original subsets the merged audit walks before sampling
 _SAMPLE_SIZE = 500
 _CELL_BLOCK = 1 << 12    # assignments enumerated at a time
 
@@ -337,7 +337,7 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
     n = a.n_original
     total = sum(comb(n, size) for size in range(1, x + 1))
     total += sum(comb(n, size) for size in range(1, t + 1))
-    sampled = total > _EXHAUSTIVE_SUBSET_CAP
+    sampled = total > _MERGED_FULL_WALK_CAP
 
     def original_subsets(limit: int):
         if not sampled:

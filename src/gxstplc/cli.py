@@ -133,51 +133,36 @@ def _cmd_plan(args) -> tuple[dict, bool]:
     return payload, True
 
 
-def _field_elements(values) -> list[int]:
-    return [e.value for e in values]
-
-
 def _cmd_simulate(args) -> tuple[dict, bool]:
     p = load_pattern(args.pattern)
     direct = args.x_vec is not None or args.t_vec is not None
     if direct and (args.x is not None or args.t is not None):
         raise ValueError("give either --x and --t, or --x-vec and --t-vec, not both")
+    merged = None
     if direct:
         if args.x_vec is None or args.t_vec is None:
             raise ValueError("--x-vec and --t-vec must be given together")
-        config = AsymmConfig(p, args.x_vec, args.t_vec)
-        sim = scheme.simulate(config, args.seed, args.field)
-        payload = {
-            "mode": "direct",
-            "field": sim.params.field.q,
-            "L": sim.params.l_value,
-            "rate": str(sim.rate),
-            "answers": _field_elements(sim.transcript.answers),
-            "decoded": _field_elements(sim.transcript.decoded),
-            "expected": _field_elements(sim.expected),
-            "match": sim.match,
-            "downloads": list(sim.transcript.downloads),
-            "stored_symbols": list(scheme.stored_symbols(config)),
-        }
-        return payload, sim.match
-    if args.x is None or args.t is None:
+        run = scheme.simulate(AsymmConfig(p, args.x_vec, args.t_vec), args.seed, args.field)
+    elif args.x is None or args.t is None:
         raise ValueError("give either --x and --t, or --x-vec and --t-vec")
-    merged = scheme.simulate_merged(p, args.x, args.t, args.seed, args.field)
+    else:
+        merged = scheme.simulate_merged(p, args.x, args.t, args.seed, args.field)
+        run = merged.run
     payload = {
-        "mode": "merged",
-        "capacity": str(merged.capacity.capacity),
-        "field": merged.run.params.field.q,
-        "L": merged.augmented.l_value,
-        "rate": str(merged.rate),
-        "virtual_servers": merged.augmented.n_virtual,
-        "answers": _field_elements(merged.run.transcript.answers),
-        "decoded": _field_elements(merged.run.transcript.decoded),
-        "expected": _field_elements(merged.run.expected),
-        "match": merged.run.match,
-        "downloads": list(merged.downloads),
-        "stored_symbols": list(scheme.stored_symbols(merged.run.config)),
+        "mode": "merged" if merged else "direct",
+        **({"capacity": str(merged.capacity.capacity)} if merged else {}),
+        "field": run.params.field.q,
+        "L": run.params.l_value,
+        "rate": str(run.rate),
+        **({"virtual_servers": merged.augmented.n_virtual} if merged else {}),
+        "answers": [e.value for e in run.transcript.answers],
+        "decoded": [e.value for e in run.transcript.decoded],
+        "expected": [e.value for e in run.expected],
+        "match": run.match,
+        "downloads": list(merged.downloads if merged else run.transcript.downloads),
+        "stored_symbols": list(scheme.stored_symbols(run.config)),
     }
-    return payload, merged.run.match
+    return payload, run.match
 
 
 def _report_payload(report: audit.AuditReport) -> dict:

@@ -48,43 +48,31 @@ def demo_names() -> tuple[str, ...]:
 
 def run_demo(name: str, seed: int = 0) -> dict:
     """Run a registered demo end to end and report what happened."""
+    merged = None
     if name in _DIRECT_DEMOS:
         config = _DIRECT_DEMOS[name]
-        sim = simulate(config, seed)
-        report = asymm_scheme_audit(config, sim.params)
-        return {
-            "name": name,
-            "seed": seed,
-            "kind": "direct",
-            "capacity": None,
-            "rate": str(sim.rate),
-            "l_value": sim.params.l_value,
-            "field": sim.params.field.q,
-            "downloads": list(sim.transcript.downloads),
-            "stored_symbols": list(stored_symbols(config)),
-            "decode_match": sim.match,
-            "audit_pass": report.passed,
-            "audit_checked_subsets": report.checked_subsets,
-            "audit_notes": list(report.notes),
-        }
-    if name in _MERGED_DEMOS:
+        run = simulate(config, seed)
+        report = asymm_scheme_audit(config, run.params)
+    elif name in _MERGED_DEMOS:
         pattern, x, t = _MERGED_DEMOS[name]
         merged = simulate_merged(pattern, x, t, seed)
-        report = merged_scheme_audit(merged.augmented, merged.run.params, x, t)
-        return {
-            "name": name,
-            "seed": seed,
-            "kind": "merged",
-            "capacity": str(merged.capacity.capacity),
-            "rate": str(merged.rate),
-            "l_value": merged.augmented.l_value,
-            "field": merged.run.params.field.q,
-            "virtual_servers": merged.augmented.n_virtual,
-            "downloads": list(merged.downloads),
-            "stored_symbols": list(stored_symbols(merged.run.config)),
-            "decode_match": merged.run.match,
-            "audit_pass": report.passed,
-            "audit_checked_subsets": report.checked_subsets,
-            "audit_notes": list(report.notes),
-        }
-    raise UnknownDemo(f"no demo named {name!r}; try one of {', '.join(demo_names())}")
+        run = merged.run
+        report = merged_scheme_audit(merged.augmented, run.params, x, t)
+    else:
+        raise UnknownDemo(f"no demo named {name!r}; try one of {', '.join(demo_names())}")
+    return {
+        "name": name,
+        "seed": seed,
+        "kind": "merged" if merged else "direct",
+        "capacity": str(merged.capacity.capacity) if merged else None,
+        "rate": str(run.rate),
+        "l_value": run.params.l_value,
+        "field": run.params.field.q,
+        **({"virtual_servers": merged.augmented.n_virtual} if merged else {}),
+        "downloads": list(merged.downloads if merged else run.transcript.downloads),
+        "stored_symbols": list(stored_symbols(run.config)),
+        "decode_match": run.match,
+        "audit_pass": report.passed,
+        "audit_checked_subsets": report.checked_subsets,
+        "audit_notes": list(report.notes),
+    }

@@ -643,6 +643,11 @@ def run_protocol(config: AsymmConfig, params: SchemeParams,
     )
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise DegenerateInput(f"seed must be a non-negative integer, got seed={seed}")
+
+
 def simulate(config: AsymmConfig, seed: int,
              field_override: int | None = None) -> SimulationResult:
     """Full protocol round with fresh random messages and coefficients.
@@ -651,8 +656,7 @@ def simulate(config: AsymmConfig, seed: int,
     coefficients, storage noise, query noise), so identical inputs give
     identical transcripts.  The seed must be a non-negative integer.
     """
-    if seed < 0:
-        raise DegenerateInput(f"seed must be a non-negative integer, got seed={seed}")
+    _check_seed(seed)
     params = setup(config, field_override)
     msg_ss, coeff_ss, storage_ss, query_ss = np.random.SeedSequence(seed).spawn(4)
     messages = MessageBank.random(config, params, msg_ss)
@@ -688,8 +692,10 @@ def simulate_merged(p: StoragePattern, x: int, t: int, seed: int,
 
     Each original server answers for all of its virtual copies, so its
     download is tau_n symbols and the overall rate L / sum(tau) equals
-    the asymptotic capacity exactly.
+    the asymptotic capacity exactly.  A negative seed is refused before
+    the capacity program is solved.
     """
+    _check_seed(seed)
     cap = asymptotic_capacity(p, x, t)
     if cap.degenerate:
         raise DegenerateConfig(

@@ -281,12 +281,19 @@ class TestDemo:
         _, b, _ = run_cli(capsys, "demo", "ex-4.1.2", "--seed", "1")
         assert a != b
 
-    def test_negative_seed_named(self, capsys, six_json):
+    def test_negative_seed_named(self, capsys, monkeypatch, six_json):
+        # refused before the capacity program is solved: the spy sees no call
+        calls = []
+        solve = capacity.simplex_min
+        monkeypatch.setattr(capacity, "simplex_min", lambda lp: calls.append(lp) or solve(lp))
         for argv in (("demo", "ex-4.1.1"), ("demo", "ex-4.2-1"),
                      ("simulate", "--pattern", six_json, "--x", "1", "--t", "1")):
             code, out, err = run_cli(capsys, *argv, "--seed", "-5")
             assert (code, out) == (2, "")
             assert err == "error: seed must be a non-negative integer, got seed=-5\n"
+        assert calls == []
+        assert run_cli(capsys, "demo", "ex-4.2-1", "--seed", "0")[0] == 0
+        assert len(calls) == 1
 
     def test_unknown_name(self, capsys):
         code, _, err = run_cli(capsys, "demo", "nonexistent")

@@ -19,6 +19,13 @@ def run_python(*args: str, optimize: bool = True, text: bool = True):
     )
 
 
+def assert_same_stdout_under_optimization(argv: list[str]) -> None:
+    plain = run_python(*argv, optimize=False, text=False)
+    optimized = run_python(*argv, text=False)
+    assert plain.returncode == optimized.returncode == 0, plain.stderr + optimized.stderr
+    assert plain.stdout and optimized.stdout == plain.stdout
+
+
 def test_demo_scripts_run_optimized():
     scripts = sorted((ROOT / "demos").glob("0*.py"))
     assert len(scripts) == 5
@@ -54,10 +61,19 @@ def test_cli_stdout_is_the_same_under_optimization(pattern, command):
     argv = ["-m", "gxstplc", command[0], "--pattern",
             str(ROOT / "demos" / "patterns" / f"{pattern}.json"), "--x", "1", "--t", "1",
             *command[1:]]
-    plain = run_python(*argv, optimize=False, text=False)
-    optimized = run_python(*argv, text=False)
-    assert plain.returncode == optimized.returncode == 0, plain.stderr + optimized.stderr
-    assert plain.stdout and optimized.stdout == plain.stdout
+    assert_same_stdout_under_optimization(argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--pattern", str(ROOT / "demos" / "patterns" / "uneven_nine.json"),
+     "--x-vec", "1,2", "--t-vec", "1,2", "--seed", "0"],
+    ["demo", "ex-4.1.2", "--seed", "0"],
+    ["demo", "ex-4.2-1", "--seed", "0"],
+])
+def test_report_stdout_is_the_same_under_optimization(argv):
+    # the other branches of the two report builders: a direct simulate, and a
+    # direct and a merged demo
+    assert_same_stdout_under_optimization(["-m", "gxstplc", *argv])
 
 
 def test_int64_guard_promotes_under_optimization():

@@ -5,11 +5,14 @@ The digests are SHA-256 of the compact JSON {"answers": [...],
 "decoded": [...]} of residues, for the four built-in demos at seeds 0-2
 and for UNEVEN_NINE over the field of 2**31 - 1.  The audit command's
 whole stdout is pinned the same way, whatever the audits' kernels, and
-so is the lemmas command's, whatever the lemma checks' arithmetic.
+so is the lemmas command's, whatever the lemma checks' arithmetic.  So
+are the whole stdouts of a direct and a merged ``simulate`` and of a
+direct and a merged ``demo``, whatever builds their reports.
 """
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,8 @@ from gxstplc.cli import main
 from gxstplc.demos import GRAPH_FOURTEEN, GRAPH_SIX, UNEVEN_NINE, UNEVEN_SEVEN
 from gxstplc.pattern import MessageSet, StoragePattern, save_pattern
 from gxstplc.scheme import AsymmConfig, simulate, simulate_merged
+
+PATTERNS = Path(__file__).resolve().parents[1] / "demos" / "patterns"
 
 RUNS = {
     "ex-4.1.1": lambda s: simulate(AsymmConfig(UNEVEN_SEVEN, (0, 0, 0, 0), (1, 2, 1, 2)), s),
@@ -90,3 +95,27 @@ def test_lemmas_stdout_digest(capsys):
     assert main(["lemmas", "--seed", "0", "--trials", "100"]) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_LEMMAS
+
+
+REPORTS = {
+    "simulate-direct": ["simulate", "--pattern", str(PATTERNS / "uneven_nine.json"),
+                        "--x-vec", "1,2", "--t-vec", "1,2", "--seed", "0"],
+    "simulate-merged": ["simulate", "--pattern", str(PATTERNS / "six_server.json"),
+                        "--x", "1", "--t", "1", "--seed", "0"],
+    "demo-direct": ["demo", "ex-4.1.1", "--seed", "0"],
+    "demo-merged": ["demo", "ex-4.2-1", "--seed", "0"],
+}
+
+PINNED_REPORTS = {
+    "simulate-direct": "506bd46789172446e6bf6160948b9688dfa3e1f7974f75749d3e6f4bcc81319e",
+    "simulate-merged": "02aecc9a48b6320b510a6229d79b768acfc27be1d2d8a84b855a460e3438fa7c",
+    "demo-direct": "491903dbc92b1487064540a8cec907d98db2d23a8a8669821b589dea6169d892",
+    "demo-merged": "e49440773e3fcb2e89891972f3edd62c471a9d4322d7b1ecc3eb23325875a560",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_REPORTS))
+def test_report_stdout_digest(name, capsys):
+    assert main(REPORTS[name]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_REPORTS[name]
