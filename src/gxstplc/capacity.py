@@ -7,6 +7,12 @@ that every size-(|R_m| - x - t) subset of each replication group R_m
 already carries one unit of download.  If some group has |R_m| <= x + t
 the capacity is zero and no scheme exists.
 
+A forced program needs no simplex.  When the groups with
+|R_m| - x - t = 1 (singleton rows) meet every row of the program, the
+optimum is the indicator of their union, and :func:`asymptotic_capacity`
+returns it before any row is built.  Every other program is built in
+full and solved by :func:`gxstplc.exactlp.simplex_min`.
+
 The optimal vertex is rational; clearing its denominators yields integer
 download counts tau_n that drive the virtual-server construction in
 :mod:`gxstplc.augment`.
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,6 +44,14 @@ class CapacityResult:
         return None if self.tau is None else sum(self.tau)
 
 
+def _thresholds(x: int, t: int) -> tuple[int, int]:
+    """x and t as ints (a float raises TypeError), both nonnegative."""
+    x, t = operator.index(x), operator.index(t)
+    if x < 0 or t < 0:
+        raise ValueError("thresholds must be nonnegative")
+    return x, t
+
+
 def build_capacity_lp(p: StoragePattern, x: int, t: int) -> LinearProgram:
     """Covering program whose optimum is the reciprocal capacity.
 
@@ -44,8 +59,7 @@ def build_capacity_lp(p: StoragePattern, x: int, t: int) -> LinearProgram:
     with duplicate rows removed (first occurrence kept).  Raises
     DegeneratePattern when some group is too small to leave any subset.
     """
-    if x < 0 or t < 0:
-        raise ValueError("thresholds must be nonnegative")
+    x, t = _thresholds(x, t)
     rows: dict[tuple[int, ...], None] = {}
     for m in range(1, p.m_count + 1):
         group = p.servers_of(m)
@@ -62,22 +76,59 @@ def build_capacity_lp(p: StoragePattern, x: int, t: int) -> LinearProgram:
     return LinearProgram(n_vars=p.n_servers, rows=tuple(rows))
 
 
+def _forced_vertex(p: StoragePattern, x: int, t: int) -> RationalVector | None:
+    """The indicator of F when every covering row meets F, else None.
+
+    F is the union of the groups R_m with |R_m| - x - t = 1, whose rows
+    are the singletons {n}.  A row of set m misses F iff it fits in the
+    servers of R_m outside F, so every row meets F iff each set has
+    fewer than |R_m| - x - t servers outside F.
+    """
+    groups = [ms.servers for ms in p.message_sets]
+    forced = {n for g in groups if len(g) - x - t == 1 for n in g}
+    for g in groups:
+        if sum(n not in forced for n in g) >= len(g) - x - t:
+            return None
+    return tuple(Fraction(n in forced) for n in range(1, p.n_servers + 1))
+
+
+def _covers_every_set(p: StoragePattern, x: int, t: int, vertex: RationalVector) -> bool:
+    """Sort-based feasibility oracle: every set's |R_m| - x - t smallest
+    downloads over R_m sum to at least 1."""
+    return all(sum(sorted(vertex[n - 1] for n in g)[:len(g) - x - t]) >= 1
+               for g in (ms.servers for ms in p.message_sets))
+
+
 def asymptotic_capacity(p: StoragePattern, x: int, t: int) -> CapacityResult:
     """Exact asymptotic capacity plus the integer download profile tau.
 
     tau_n = L * D_n with L the lcm of the optimal vertex denominators,
     so L / sum(tau) reproduces the capacity exactly, and L and tau share
     no common factor.
+
+    Forced programs skip the simplex.  Let F be the union of the groups
+    with |R_m| - x - t = 1 (non-empty iff the smallest slack is 1).  If
+    every row meets F, the vertex is 1_F with optimum |F|: the singleton
+    rows force D_n = 1 on F for every feasible point, and 1_F is
+    feasible, so it is the unique optimum and the vertex the simplex
+    would return.  The dual y = 1 on the singleton rows has
+    sum(y) = |F|, which proves optimality.  The forced vertex is checked
+    for feasibility before the checks every vertex passes.
     """
-    if x < 0 or t < 0:
-        raise ValueError("thresholds must be nonnegative")
-    if min_replication_slack(p, x, t) <= 0:
+    x, t = _thresholds(x, t)
+    slack = min_replication_slack(p, x, t)
+    if slack <= 0:
         return CapacityResult(
             capacity=Fraction(0), degenerate=True, vertex=None, l_value=None, tau=None
         )
-    lp = build_capacity_lp(p, x, t)
-    sol: LpSolution = simplex_min(lp)
-    vertex = sol.vertex
+    vertex = _forced_vertex(p, x, t) if slack == 1 else None
+    if vertex is None:
+        sol: LpSolution = simplex_min(build_capacity_lp(p, x, t))
+        vertex, optimum = sol.vertex, sol.optimum
+    elif _covers_every_set(p, x, t, vertex):
+        optimum = sum(vertex, Fraction(0))
+    else:
+        raise InvariantViolation(f"forced vertex misses a covering row: {vertex}")
     if not all(0 <= d <= 1 for d in vertex):
         raise InvariantViolation(f"optimal vertex leaves the unit box: {vertex}")
     l_value = lcm_of_denominators(vertex)
@@ -87,7 +138,7 @@ def asymptotic_capacity(p: StoragePattern, x: int, t: int) -> CapacityResult:
     tau = [int(s) for s in scaled]
     if math.gcd(l_value, *tau) != 1:
         raise InvariantViolation(f"L = {l_value} and tau {tau} are not in lowest terms")
-    capacity = Fraction(1) / sol.optimum
+    capacity = Fraction(1) / optimum
     if capacity != Fraction(l_value, sum(tau)):
         raise InvariantViolation(f"capacity {capacity} is not L/sum(tau) = {l_value}/{sum(tau)}")
     return CapacityResult(

@@ -7,10 +7,21 @@ so every run of the suite sees the same cases.
 from __future__ import annotations
 
 import random
+from unittest import mock
 
+from gxstplc import capacity
+from gxstplc.capacity import CapacityResult
 from gxstplc.exactlp import LinearProgram
 from gxstplc.pattern import MessageSet, StoragePattern
 from gxstplc.scheme import AsymmConfig
+
+# three groups of three servers: at x + t = 2 each has slack 1 and F, their
+# union, is all six servers, so every covering row meets F (a forced program)
+TRIANGLES = StoragePattern(6, (MessageSet((1, 2, 3)), MessageSet((3, 4, 5)),
+                               MessageSet((1, 5, 6))))
+# at x + t = 1, F = {1, 2} and set 2 has exactly its slack, 2, servers
+# outside F: the row {3, 4} misses F, so the program is not forced
+NEAR_MISS = StoragePattern(4, (MessageSet((1, 2)), MessageSet((1, 3, 4))))
 
 
 def random_pattern(rng: random.Random, n_max: int = 6, m_max: int = 3,
@@ -35,6 +46,20 @@ def _lp_row_count(p: StoragePattern, x: int, t: int) -> int:
     from math import comb
 
     return sum(comb(rho, rho - x - t) for rho in p.replication_factors)
+
+
+def simplex_capacity(p: StoragePattern, x: int, t: int) -> CapacityResult:
+    """asymptotic_capacity with the forced-program rule switched off, so the
+    result comes from simplex_min on the full row list."""
+    with mock.patch.object(capacity, "_forced_vertex", return_value=None):
+        return capacity.asymptotic_capacity(p, x, t)
+
+
+def capacity_with_simplex_calls(p: StoragePattern, x: int,
+                                t: int) -> tuple[CapacityResult, int]:
+    """asymptotic_capacity and the number of simplex_min calls it made."""
+    with mock.patch.object(capacity, "simplex_min", wraps=capacity.simplex_min) as spy:
+        return capacity.asymptotic_capacity(p, x, t), spy.call_count
 
 
 def random_config(rng: random.Random, n_max: int = 9, m_max: int = 4,

@@ -4,10 +4,13 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_pattern
+from conftest import (NEAR_MISS, TRIANGLES, capacity_with_simplex_calls, random_pattern,
+                      simplex_capacity)
 from gxstplc import capacity
-from gxstplc.capacity import asymptotic_capacity, build_capacity_lp
+from gxstplc.capacity import CapacityResult, asymptotic_capacity, build_capacity_lp
 from gxstplc.demos import GRAPH_FOURTEEN, GRAPH_SIX
 from gxstplc.errors import DegeneratePattern, InvariantViolation
 from gxstplc.exactlp import LpSolution, enumerate_vertices_oracle, simplex_min
@@ -16,6 +19,7 @@ from gxstplc.pattern import MessageSet, StoragePattern
 
 def full_replication(n: int) -> StoragePattern:
     return StoragePattern(n, (MessageSet(tuple(range(1, n + 1))),))
+
 
 
 class TestBuildLp:
@@ -46,6 +50,17 @@ class TestBuildLp:
             build_capacity_lp(GRAPH_SIX, -1, 0)
         with pytest.raises(ValueError):
             asymptotic_capacity(GRAPH_SIX, 0, -1)
+
+    @pytest.mark.parametrize("pattern, x, t", [
+        (GRAPH_SIX, 2.5, 0.5),   # slack 0: the degenerate path
+        (TRIANGLES, 1.0, 1),     # slack 1: the forced path
+        (TRIANGLES, 1, 1.0),
+    ])
+    def test_float_threshold_rejected(self, pattern, x, t):
+        with pytest.raises(TypeError):
+            build_capacity_lp(pattern, x, t)
+        with pytest.raises(TypeError):
+            asymptotic_capacity(pattern, x, t)
 
 
 class TestExamples:
@@ -135,6 +150,94 @@ class TestClosedForms:
             assert asymptotic_capacity(p, x, t) == asymptotic_capacity(p, x + t, 0)
 
 
+def spy_on_lp(monkeypatch) -> list[str]:
+    """Records each call asymptotic_capacity makes to build_capacity_lp and simplex_min."""
+    calls = []
+    build, solve = capacity.build_capacity_lp, capacity.simplex_min
+    monkeypatch.setattr(capacity, "build_capacity_lp",
+                        lambda p, x, t: calls.append("build") or build(p, x, t))
+    monkeypatch.setattr(capacity, "simplex_min", lambda lp: calls.append("simplex") or solve(lp))
+    return calls
+
+
+@st.composite
+def slack_one_programs(draw):
+    """(pattern, x, t) with one to three groups of slack 1 (their union is F),
+    plus groups of slack >= 2 covered through F (fewer servers outside F than
+    their slack), near misses (exactly their slack outside F) and free groups."""
+    x, t = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    n = draw(st.integers(x + t + 1, 12))
+    servers = range(1, n + 1)
+
+    def some(pool, k):
+        return draw(st.permutations(pool))[:k]
+
+    groups = [some(servers, x + t + 1) for _ in range(draw(st.integers(1, 3)))]
+    forced = sorted(set().union(*groups))
+    outside = [s for s in servers if s not in forced]
+    for kind in draw(st.lists(st.sampled_from(("covered", "near-miss", "free")), max_size=3)):
+        if kind == "free":
+            groups.append(some(servers, draw(st.integers(x + t + 1, n))))
+            continue
+        # a group of slack k >= 2 with o of its servers outside F
+        lowest = 2 if kind == "near-miss" else 0
+        if len(outside) < lowest:
+            continue
+        o = draw(st.integers(lowest, len(outside)))
+        if kind == "near-miss":
+            k = o
+        elif max(2, o + 1) <= len(forced) - x - t + o:
+            k = draw(st.integers(max(2, o + 1), len(forced) - x - t + o))
+        else:
+            continue
+        groups.append(some(forced, x + t + k - o) + some(outside, o))
+    return StoragePattern(n, tuple(MessageSet(tuple(g)) for g in groups)), x, t
+
+
+class TestForcedProgram:
+    """Programs that the singleton rows decide, solved without the simplex."""
+
+    def test_indicator_of_the_forced_servers(self):
+        assert asymptotic_capacity(TRIANGLES, 1, 1) == CapacityResult(
+            capacity=F(1, 6), degenerate=False, vertex=(F(1),) * 6, l_value=1, tau=(1,) * 6)
+
+    @settings(max_examples=300, deadline=None)
+    @given(slack_one_programs())
+    @example((NEAR_MISS, 1, 0))
+    @example((TRIANGLES, 2, 0))
+    # F = {1, 2, 3, 4}; set 3 has slack 3 and only server 5 outside F
+    @example((StoragePattern(6, (MessageSet((1, 2)), MessageSet((3, 4)),
+                                 MessageSet((1, 2, 3, 5)))), 0, 1))
+    def test_matches_the_simplex_on_the_full_row_list(self, program):
+        p, x, t = program
+        cap, calls = capacity_with_simplex_calls(p, x, t)
+        reference = simplex_capacity(p, x, t)
+        assert cap == reference
+        # the rule holds iff the simplex's vertex is the indicator of F
+        forced = set().union(*(ms.servers for ms in p.message_sets
+                               if len(ms.servers) - x - t == 1))
+        indicator = tuple(F(n in forced) for n in range(1, p.n_servers + 1))
+        assert calls == (reference.vertex != indicator)
+
+    def test_audit_sized_program_builds_no_row(self, monkeypatch):
+        # shaped like the merged audits: 48 groups of x + t + 1 = 5 on 60 servers
+        rng = random.Random(7919)
+        p = StoragePattern(60, tuple(MessageSet(tuple(rng.sample(range(1, 61), 5)),
+                                                rng.randint(1, 2)) for _ in range(48)))
+        calls = spy_on_lp(monkeypatch)
+        cap = asymptotic_capacity(p, 2, 2)
+        assert calls == []
+        covered = set().union(*(ms.servers for ms in p.message_sets))
+        assert cap.tau == tuple(int(n in covered) for n in range(1, 61))
+        assert cap.capacity == F(1, len(covered))
+
+    def test_surviving_row_solves_once(self, monkeypatch):
+        # GRAPH_SIX at (1, 1): slack 1 on {3, 4, 6}, but the row {1, 2} misses it
+        calls = spy_on_lp(monkeypatch)
+        assert asymptotic_capacity(GRAPH_SIX, 1, 1).capacity == F(2, 9)
+        assert calls == ["build", "simplex"]
+
+
 class TestDegenerate:
     def test_zero_capacity_result(self):
         cap = asymptotic_capacity(GRAPH_SIX, 2, 2)
@@ -196,6 +299,15 @@ class TestWrongVertex:
                                                   pivots=0, bound_flips=0))
         with pytest.raises(InvariantViolation):
             asymptotic_capacity(GRAPH_SIX, 1, 1)
+
+    @pytest.mark.parametrize("vertex, match", [
+        ((F(1),) * 5 + (F(0),), "misses a covering row"),   # the row {6} is uncovered
+        ((F(2),) + (F(1),) * 5, "unit box"),
+    ])
+    def test_forced_vertex_rejected(self, monkeypatch, vertex, match):
+        monkeypatch.setattr(capacity, "_forced_vertex", lambda p, x, t: vertex)
+        with pytest.raises(InvariantViolation, match=match):
+            asymptotic_capacity(TRIANGLES, 1, 1)
 
     def test_fractional_download_rejected(self, monkeypatch):
         # the six-server vertex has halves, which L = 1 cannot clear

@@ -15,6 +15,7 @@ the capacity depends on x + t alone.
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
+from conftest import capacity_with_simplex_calls, simplex_capacity
 from gxstplc.audit import merged_scheme_audit
 from gxstplc.capacity import asymptotic_capacity
 from gxstplc.pattern import MessageSet, StoragePattern
@@ -65,3 +66,20 @@ def test_theorem_on_every_small_pattern():
                     runs += 1
     # 545 runs at one message per set, and 234 at two (t = 0)
     assert runs == 6 + 35 + 128 + 376 + 234
+
+
+def test_forced_programs_match_the_simplex():
+    # every entry that asymptotic_capacity solves without the simplex gets
+    # the CapacityResult that simplex_min on the full row list gives
+    forced = 0
+    for n in range(2, 6):
+        for pattern in catalogue(n, 3):
+            for x, t in THRESHOLDS:
+                if min(pattern.replication_factors) <= x + t:
+                    continue
+                cap, calls = capacity_with_simplex_calls(pattern, x, t)
+                if calls == 0:
+                    assert cap == simplex_capacity(pattern, x, t), (pattern, x, t)
+                    forced += 1
+    # 282 of the 545 runs at one message per set
+    assert forced == 282

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import NEAR_MISS
 from gxstplc.pattern import MessageSet, StoragePattern, save_pattern
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gxstplc"
@@ -39,6 +40,7 @@ class Mutant:
                              # appended unless the command is PATTERNLESS
     check: str | None        # the payload entry whose failure kills the mutant;
                              # None: a failed proof, with no payload at all
+    pattern: StoragePattern = TRIANGLE    # saved as the --pattern file
 
 
 MUTANTS = (
@@ -76,6 +78,13 @@ MUTANTS = (
            "    l_value = lcm_of_denominators(vertex)\n",
            "    l_value = 2 * lcm_of_denominators(vertex)\n",
            ("capacity", "--x", "1", "--t", "0"), None),
+    # the forced-program rule off by one: a set with exactly its slack of
+    # servers outside F counts as covered, and only the feasibility check of
+    # the forced vertex notices the row that misses F
+    Mutant("forced-rule-off-by-one", "capacity.py",
+           "if sum(n not in forced for n in g) >= len(g) - x - t:",
+           "if sum(n not in forced for n in g) > len(g) - x - t:",
+           ("capacity", "--x", "1", "--t", "0"), None, NEAR_MISS),
     # server 3's point moved onto server 2's: the rank certificates of plain
     # audit see the two colluders span one noise dimension, not two
     Mutant("colliding-points", "scheme.py",
@@ -94,9 +103,10 @@ MUTANTS = (
 PATTERNLESS = {"lemmas"}
 
 
-def run_cli(package: Path, argv: tuple[str, ...]) -> subprocess.CompletedProcess:
+def run_cli(package: Path, mutant: Mutant) -> subprocess.CompletedProcess:
+    argv = mutant.argv
     pattern = package.parent / "pattern.json"
-    save_pattern(TRIANGLE, pattern)
+    save_pattern(mutant.pattern, pattern)
     if argv[0] not in PATTERNLESS:
         argv = (*argv, "--pattern", str(pattern))
     env = {**os.environ, "PYTHONPATH": str(package.parent)}
@@ -123,14 +133,14 @@ def test_product_rejects_mutant(mutant, tmp_path):
     copy = tmp_path / "gxstplc"
     shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
 
-    clean = run_cli(copy, mutant.argv)
+    clean = run_cli(copy, mutant)
     assert clean.returncode == 0, clean.stderr
     payload = json.loads(clean.stdout)
     if mutant.check is not None:
         assert not failed(payload[mutant.check])
 
     (copy / mutant.path).write_text(source.replace(mutant.old, mutant.new))
-    run = run_cli(copy, mutant.argv)
+    run = run_cli(copy, mutant)
     assert run.returncode == 1, run.stderr
     if mutant.check is None:
         assert run.stdout == ""

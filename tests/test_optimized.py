@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from conftest import TRIANGLES
+from gxstplc.pattern import save_pattern
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -55,11 +58,15 @@ def test_lemma_checks_reject_a_composite_modulus_under_optimization():
     assert result.stdout.split() == ["raised", "1", "raised", "1"]
 
 
-@pytest.mark.parametrize("pattern", ["six_server", "fourteen_server"])
+# "triangles" (TRIANGLES) is a forced capacity program at x = t = 1: no simplex runs
+@pytest.mark.parametrize("pattern", ["six_server", "fourteen_server", "triangles"])
 @pytest.mark.parametrize("command", [["capacity"], ["simulate", "--seed", "0"], ["audit"]])
-def test_cli_stdout_is_the_same_under_optimization(pattern, command):
-    argv = ["-m", "gxstplc", command[0], "--pattern",
-            str(ROOT / "demos" / "patterns" / f"{pattern}.json"), "--x", "1", "--t", "1",
+def test_cli_stdout_is_the_same_under_optimization(pattern, command, tmp_path):
+    path = ROOT / "demos" / "patterns" / f"{pattern}.json"
+    if pattern == "triangles":
+        path = tmp_path / "triangles.json"
+        save_pattern(TRIANGLES, path)
+    argv = ["-m", "gxstplc", command[0], "--pattern", str(path), "--x", "1", "--t", "1",
             *command[1:]]
     assert_same_stdout_under_optimization(argv)
 
