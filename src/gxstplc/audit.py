@@ -327,12 +327,14 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
     subsets, to name the violations: every subset of up to x (or t)
     originals on small systems, a deterministic sample on larger ones.
     The report counts and flags the subsets that walk covers either way.
-    x and t must be the thresholds the system was built for.
+    x and t must be the thresholds the system was built for.  Only a
+    walk builds the virtual configuration.
     """
     if (x, t) != (a.x, a.t):
         raise DimensionMismatch(f"system built for x={a.x}, t={a.t}, audited at x={x}, t={t}")
-    config = virtual_config(a)
-    _check_params(config, params)
+    if ((params.groups, params.l_value, len(params.alpha))
+            != (a.flat_groups, a.l_value, a.n_virtual)):
+        raise DimensionMismatch("params were built for a different system")
 
     n = a.n_original
     total = sum(comb(n, size) for size in range(1, x + 1))
@@ -349,22 +351,26 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
             size = rng.randint(1, limit)
             yield tuple(sorted(rng.sample(range(1, n + 1), size)))
 
-    groups = [set(group) for group in params.groups]
+    config = None
     violations: list[Violation] = []
     notes: list[str] = []
     checked = 0
-    for spec, limit in zip(_SIDES.values(), (x, t)):
+    for spec, limit, bars in zip(_SIDES.values(), (x, t), (a.x_bar, a.t_bar)):
         if limit == 0:
             notes.append(spec.merged_note)
             continue
         checked += _SAMPLE_SIZE if sampled else sum(comb(n, size) for size in range(1, limit + 1))
-        if all(sum(sorted(d for _, d in slots)[-limit:]) <= spec.threshold(config, m)
-               and spec.clear(params, params.group_of(m))
-               for m, slots in enumerate(a.delta, start=1)):
+        # distinct points (and, for queries, none on an f point): what spec.clear decides
+        points = params.alpha.tolist()
+        off = set() if spec.name == "storage" else set(params.f.tolist())
+        if all(sum(sorted(d for _, d in slots)[-limit:]) <= bar
+               and len({points[v - 1] for v in group} - off) == len(group)
+               for slots, bar, group in zip(a.delta, bars, params.groups)):
             continue
+        config = config or virtual_config(a)
         for originals in original_subsets(limit):
             exposed = a.exposed(originals)
-            for m, group in enumerate(groups, start=1):
+            for m, group in enumerate(params.groups, start=1):
                 hit = [v for v in exposed if v in group]
                 detail = _verdict(config, params, spec, m, hit) if hit else None
                 if detail is not None:

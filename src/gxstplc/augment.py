@@ -13,6 +13,8 @@ takes min(gamma_m, tau_n) copies from each member n, and the thresholds
 scale to x * gamma_m and t * gamma_m.  Colluding original servers then
 expose at most x * gamma_m virtual members of any group, which is what
 the security audit checks.
+Copy i of server n has flat id offset_n + i (offset_n: the budgets of
+servers 1 .. n - 1); each system tabulates its groups' flat ids once.
 """
 
 from __future__ import annotations
@@ -51,6 +53,11 @@ class AugmentedSystem:
         """Virtual servers before each original server's first copy."""
         return tuple(accumulate(self.tau, initial=0))
 
+    @cached_property
+    def flat_groups(self) -> tuple[tuple[int, ...], ...]:
+        """Each set's virtual group as flat ids, in r_bar order (ascending)."""
+        return tuple(tuple(self._offsets[n - 1] + i for n, i in g) for g in self.r_bar)
+
     def flat_id(self, vs: VirtualServer) -> int:
         """1-based position of a virtual server in the global order."""
         n, i = vs
@@ -60,9 +67,10 @@ class AugmentedSystem:
 
     def exposed(self, originals: tuple[int, ...]) -> tuple[int, ...]:
         """Flat ids of every virtual copy of the given original servers."""
-        return tuple(
-            self.flat_id((n, i)) for n in originals for i in range(1, self.tau[n - 1] + 1)
-        )
+        if not all(1 <= n <= self.n_original for n in originals):
+            raise ValueError(f"no such server in {originals}")
+        offsets = self._offsets
+        return tuple(v for n in originals for v in range(offsets[n - 1] + 1, offsets[n] + 1))
 
     def virtual_pattern(self, counts: tuple[int, ...] | None = None) -> StoragePattern:
         """The augmented system as a flat pattern over virtual servers;
@@ -72,10 +80,7 @@ class AugmentedSystem:
         if len(counts) != len(self.r_bar):
             raise DimensionMismatch(
                 f"{len(counts)} message counts for {len(self.r_bar)} sets")
-        sets = tuple(
-            MessageSet(tuple(self.flat_id(vs) for vs in group), k)
-            for group, k in zip(self.r_bar, counts)
-        )
+        sets = tuple(MessageSet(ids, k) for ids, k in zip(self.flat_groups, counts))
         return StoragePattern(self.n_virtual, sets)
 
 
@@ -140,19 +145,19 @@ def generate_augmented_system(
 
 def merged_query_plan(a: AugmentedSystem) -> tuple[ServerPlan, ...]:
     """Per original server: its virtual copies and the sets each copy holds."""
-    holder: dict[VirtualServer, list[int]] = {vs: [] for vs in a.virtual_servers}
-    for m, group in enumerate(a.r_bar, start=1):
-        for vs in group:
-            holder[vs].append(m)
+    holder: list[list[int]] = [[] for _ in range(a.n_virtual + 1)]
+    for m, ids in enumerate(a.flat_groups, start=1):
+        for v in ids:
+            holder[v].append(m)
     plans = []
     for n in range(1, a.n_original + 1):
-        copies = [(n, i) for i in range(1, a.tau[n - 1] + 1)]
+        ids = a.exposed((n,))
         plans.append(
             ServerPlan(
                 server=n,
                 downloads=a.tau[n - 1],
-                virtual_ids=tuple(a.flat_id(vs) for vs in copies),
-                sets_per_copy=tuple(tuple(holder[vs]) for vs in copies),
+                virtual_ids=ids,
+                sets_per_copy=tuple(tuple(holder[v]) for v in ids),
             )
         )
     return tuple(plans)

@@ -15,7 +15,7 @@ full and solved by :func:`gxstplc.exactlp.simplex_min`.
 
 The optimal vertex is rational; clearing its denominators yields integer
 download counts tau_n that drive the virtual-server construction in
-:mod:`gxstplc.augment`.
+:mod:`gxstplc.augment`, and the capacity is L / sum(tau).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegeneratePattern, InvariantViolation
-from .exactlp import LinearProgram, LpSolution, RationalVector, lcm_of_denominators, simplex_min
+from .exactlp import LinearProgram, RationalVector, lcm_of_denominators, simplex_min
 from .pattern import StoragePattern, min_replication_slack
 
 
@@ -76,6 +76,9 @@ def build_capacity_lp(p: StoragePattern, x: int, t: int) -> LinearProgram:
     return LinearProgram(n_vars=p.n_servers, rows=tuple(rows))
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _forced_vertex(p: StoragePattern, x: int, t: int) -> RationalVector | None:
     """The indicator of F when every covering row meets F, else None.
 
@@ -89,13 +92,13 @@ def _forced_vertex(p: StoragePattern, x: int, t: int) -> RationalVector | None:
     for g in groups:
         if sum(n not in forced for n in g) >= len(g) - x - t:
             return None
-    return tuple(Fraction(n in forced) for n in range(1, p.n_servers + 1))
+    return tuple(_ONE if n in forced else _ZERO for n in range(1, p.n_servers + 1))
 
 
-def _covers_every_set(p: StoragePattern, x: int, t: int, vertex: RationalVector) -> bool:
-    """Sort-based feasibility oracle: every set's |R_m| - x - t smallest
-    downloads over R_m sum to at least 1."""
-    return all(sum(sorted(vertex[n - 1] for n in g)[:len(g) - x - t]) >= 1
+def _covers_every_set(p: StoragePattern, x: int, t: int, tau: list[int], l_value: int) -> bool:
+    """Sort-based feasibility oracle on tau = L * D: every set's
+    |R_m| - x - t smallest downloads over R_m sum to at least L."""
+    return all(sum(sorted(tau[n - 1] for n in g)[:len(g) - x - t]) >= l_value
                for g in (ms.servers for ms in p.message_sets))
 
 
@@ -112,8 +115,9 @@ def asymptotic_capacity(p: StoragePattern, x: int, t: int) -> CapacityResult:
     rows force D_n = 1 on F for every feasible point, and 1_F is
     feasible, so it is the unique optimum and the vertex the simplex
     would return.  The dual y = 1 on the singleton rows has
-    sum(y) = |F|, which proves optimality.  The forced vertex is checked
-    for feasibility before the checks every vertex passes.
+    sum(y) = |F|, which proves optimality.  The box, lowest-terms and
+    covering checks (forced) or optimum == sum(tau) / L (solved) run on
+    the ints L and tau.
     """
     x, t = _thresholds(x, t)
     slack = min_replication_slack(p, x, t)
@@ -122,27 +126,22 @@ def asymptotic_capacity(p: StoragePattern, x: int, t: int) -> CapacityResult:
             capacity=Fraction(0), degenerate=True, vertex=None, l_value=None, tau=None
         )
     vertex = _forced_vertex(p, x, t) if slack == 1 else None
-    if vertex is None:
-        sol: LpSolution = simplex_min(build_capacity_lp(p, x, t))
-        vertex, optimum = sol.vertex, sol.optimum
-    elif _covers_every_set(p, x, t, vertex):
-        optimum = sum(vertex, Fraction(0))
-    else:
-        raise InvariantViolation(f"forced vertex misses a covering row: {vertex}")
-    if not all(0 <= d <= 1 for d in vertex):
-        raise InvariantViolation(f"optimal vertex leaves the unit box: {vertex}")
+    sol = simplex_min(build_capacity_lp(p, x, t)) if vertex is None else None
+    vertex = vertex if sol is None else sol.vertex
     l_value = lcm_of_denominators(vertex)
-    scaled = [d * l_value for d in vertex]
-    if any(s.denominator != 1 for s in scaled):
+    if any(l_value % d.denominator for d in vertex):
         raise InvariantViolation(f"L = {l_value} leaves a fractional download in {vertex}")
-    tau = [int(s) for s in scaled]
+    tau = [d.numerator * (l_value // d.denominator) for d in vertex]
+    if not all(0 <= s <= l_value for s in tau):
+        raise InvariantViolation(f"optimal vertex leaves the unit box: {vertex}")
     if math.gcd(l_value, *tau) != 1:
         raise InvariantViolation(f"L = {l_value} and tau {tau} are not in lowest terms")
-    capacity = Fraction(1) / optimum
-    if capacity != Fraction(l_value, sum(tau)):
-        raise InvariantViolation(f"capacity {capacity} is not L/sum(tau) = {l_value}/{sum(tau)}")
+    if sol is None and not _covers_every_set(p, x, t, tau, l_value):
+        raise InvariantViolation(f"forced vertex misses a covering row: {vertex}")
+    if sol is not None and sol.optimum != Fraction(sum(tau), l_value):
+        raise InvariantViolation(f"optimum {sol.optimum} is not sum(tau)/L = {sum(tau)}/{l_value}")
     return CapacityResult(
-        capacity=capacity,
+        capacity=Fraction(l_value, sum(tau)),
         degenerate=False,
         vertex=vertex,
         l_value=l_value,

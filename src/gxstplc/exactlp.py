@@ -210,8 +210,8 @@ def simplex_min(lp: LinearProgram) -> LpSolution:
     values[basis[basis < n]] = num[basis < n]
     _check_feasible(values, denom, rows)
     vertex = tuple(Fraction(int(v), denom) for v in values)
-    return LpSolution(optimum=sum(vertex), vertex=vertex, basis=tuple(sorted(basis.tolist())),
-                      pivots=pivots, bound_flips=bound_flips)
+    return LpSolution(optimum=Fraction(int(values.sum()), denom), vertex=vertex,
+                      basis=tuple(sorted(basis.tolist())), pivots=pivots, bound_flips=bound_flips)
 
 
 def _check_feasible(numerators: np.ndarray, denom: int, rows: np.ndarray) -> None:

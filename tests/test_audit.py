@@ -15,7 +15,7 @@ from gxstplc.audit import (
     privacy_rank_certificate,
     security_rank_certificate,
 )
-from gxstplc.augment import generate_augmented_system
+from gxstplc.augment import AugmentedSystem, generate_augmented_system
 from gxstplc.capacity import asymptotic_capacity
 from gxstplc.demos import GRAPH_SIX, UNEVEN_NINE, UNEVEN_SEVEN
 from gxstplc.errors import DimensionMismatch, ScaleExceeded
@@ -283,6 +283,24 @@ class TestMergedAudit:
         ]
         query = [(s, m, d.replace("storage", "query")) for s, m, d in storage]
         assert found == storage + query
+
+    def test_passing_audit_rebuilds_nothing(self, monkeypatch):
+        # the params are checked against the system's own flat-id table, so a
+        # passing audit neither builds the virtual configuration nor asks
+        # flat_id; a failing side builds the configuration once for its walk
+        aug, _, params = merged_setup(GRAPH_SIX, 1, 1)
+        calls = []
+        build, flat_id = audit.virtual_config, AugmentedSystem.flat_id
+        monkeypatch.setattr(audit, "virtual_config",
+                            lambda a: calls.append("virtual_config") or build(a))
+        monkeypatch.setattr(AugmentedSystem, "flat_id",
+                            lambda a, vs: calls.append("flat_id") or flat_id(a, vs))
+        assert merged_scheme_audit(aug, params, 1, 1).passed
+        assert calls == []
+        lowered = dataclasses.replace(aug, x_bar=tuple(v - 1 for v in aug.x_bar),
+                                      t_bar=tuple(v - 1 for v in aug.t_bar))
+        assert not merged_scheme_audit(lowered, params, 1, 1).passed
+        assert calls == ["virtual_config"]
 
     def test_zero_thresholds_noted(self):
         p = StoragePattern(3, (MessageSet((1, 2, 3)),))

@@ -2,12 +2,14 @@
 
 import random
 from fractions import Fraction as F
+from functools import cached_property
 
 import pytest
 
 from conftest import random_pattern
 from gxstplc import capacity
 from gxstplc.augment import (
+    AugmentedSystem,
     collusion_exposure,
     generate_augmented_system,
     merged_query_plan,
@@ -66,10 +68,25 @@ class TestSixServer:
         assert a.exposed(()) == ()
 
     def test_flat_groups(self):
-        p = six_server_system().virtual_pattern()
+        a = six_server_system()
+        assert a.flat_groups == ((1, 2, 3, 7), (3, 4, 5, 6, 8, 9))
+        p = a.virtual_pattern()
         assert p.n_servers == 9
         assert p.servers_of(1) == (1, 2, 3, 7)
         assert p.servers_of(2) == (3, 4, 5, 6, 8, 9)
+
+    def test_flat_group_table_built_once(self, monkeypatch):
+        # a spy in place of the cached table: two virtual patterns and the
+        # merged plan read one build of it
+        calls = []
+        table = AugmentedSystem.flat_groups.func
+        spy = cached_property(lambda a: calls.append(a) or table(a))
+        spy.__set_name__(AugmentedSystem, "flat_groups")
+        monkeypatch.setattr(AugmentedSystem, "flat_groups", spy)
+        a = six_server_system()
+        assert a.virtual_pattern() == a.virtual_pattern()
+        merged_query_plan(a)
+        assert calls == [a]
 
     def test_virtual_slack_equals_l(self):
         a = six_server_system()
@@ -186,6 +203,11 @@ class TestValidation:
         a = six_server_system()
         with pytest.raises(ValueError):
             a.flat_id((1, 2))
+
+    @pytest.mark.parametrize("originals", [(0,), (7,), (1, 7)])
+    def test_unknown_originals_not_exposed(self, originals):
+        with pytest.raises(ValueError):
+            six_server_system().exposed(originals)
 
 
 class TestInvariants:

@@ -9,13 +9,16 @@ group room to decode, and again with two messages per set where t = 0
 (there the bound is exact for every K).  Each run checks the paper's
 claims end to end: the merged scheme's rate equals the capacity, the
 decode matches the plaintext combination, the merged audit passes, and
-the capacity depends on x + t alone.
+the capacity depends on x + t alone.  Every entry's capacity, on the
+forced and on the simplex path, also matches the Fraction bookkeeping
+of tests/test_reference.py.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 from conftest import capacity_with_simplex_calls, simplex_capacity
+from test_reference import assert_capacity_matches_reference
 from gxstplc.audit import merged_scheme_audit
 from gxstplc.capacity import asymptotic_capacity
 from gxstplc.pattern import MessageSet, StoragePattern
@@ -83,3 +86,11 @@ def test_forced_programs_match_the_simplex():
                     forced += 1
     # 282 of the 545 runs at one message per set
     assert forced == 282
+
+
+def test_capacity_bookkeeping_matches_fraction_reference():
+    # degenerate entries too: (x, t) past the smallest group returns capacity 0
+    for n in range(2, 6):
+        for pattern in catalogue(n, 3):
+            for x, t in THRESHOLDS:
+                assert_capacity_matches_reference(pattern, x, t)

@@ -9,8 +9,9 @@ command reads one: the run must exit 1 from the check the entry names,
 a false or failed payload entry, or a failed proof (``error:`` on
 stderr and nothing on stdout).  A changed digest or a wrong number in
 the output does not count; the product has to notice by itself.  The
-same command on the unmutated copy exits 0 with a payload, so the
-failure is the mutant's.
+same command on an unmutated copy exits 0 with a payload, so the
+failure is the mutant's; that clean run is made once per distinct
+command and pattern, and shared by the mutants that use it.
 """
 
 import json
@@ -126,19 +127,38 @@ def failed(entry) -> bool:
     return any(not e["passed"] for e in entry)
 
 
+def copy_package(root: Path) -> Path:
+    copy = root / "gxstplc"
+    shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    return copy
+
+
+@pytest.fixture(scope="module")
+def clean_run(tmp_path_factory):
+    """The run of a mutant's command and pattern on an unmutated copy, made
+    once per distinct (argv, pattern) in this module."""
+    runs = {}
+
+    def run(mutant: Mutant) -> subprocess.CompletedProcess:
+        key = (mutant.argv, mutant.pattern)
+        if key not in runs:
+            runs[key] = run_cli(copy_package(tmp_path_factory.mktemp("clean")), mutant)
+        return runs[key]
+    return run
+
+
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda mutant: mutant.name)
-def test_product_rejects_mutant(mutant, tmp_path):
+def test_product_rejects_mutant(mutant, tmp_path, clean_run):
     source = (PACKAGE / mutant.path).read_text()
     assert source.count(mutant.old) == 1, f"{mutant.name}: mutation site moved"
-    copy = tmp_path / "gxstplc"
-    shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
 
-    clean = run_cli(copy, mutant)
+    clean = clean_run(mutant)
     assert clean.returncode == 0, clean.stderr
     payload = json.loads(clean.stdout)
     if mutant.check is not None:
         assert not failed(payload[mutant.check])
 
+    copy = copy_package(tmp_path)
     (copy / mutant.path).write_text(source.replace(mutant.old, mutant.new))
     run = run_cli(copy, mutant)
     assert run.returncode == 1, run.stderr

@@ -58,9 +58,11 @@ def test_lemma_checks_reject_a_composite_modulus_under_optimization():
     assert result.stdout.split() == ["raised", "1", "raised", "1"]
 
 
-# "triangles" (TRIANGLES) is a forced capacity program at x = t = 1: no simplex runs
+# "triangles" (TRIANGLES) is a forced capacity program at x = t = 1: no simplex runs;
+# "plan" reads the flat-id table through merged_query_plan
 @pytest.mark.parametrize("pattern", ["six_server", "fourteen_server", "triangles"])
-@pytest.mark.parametrize("command", [["capacity"], ["simulate", "--seed", "0"], ["audit"]])
+@pytest.mark.parametrize("command", [["capacity"], ["simulate", "--seed", "0"], ["audit"],
+                                     ["plan"]])
 def test_cli_stdout_is_the_same_under_optimization(pattern, command, tmp_path):
     path = ROOT / "demos" / "patterns" / f"{pattern}.json"
     if pattern == "triangles":

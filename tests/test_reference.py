@@ -15,6 +15,13 @@ gxstplc.exactlp.simplex_min: both take the same Bland pivots, so they
 must return the same optimum, vertex, basis and pivot and bound-flip
 counts, on the int64 tableau and after it turns into Python ints.
 
+The capacity bookkeeping in Fractions (optimum summed entry by entry,
+L the lcm of the denominators, tau = L * vertex, capacity 1 / optimum)
+checks the integer bookkeeping of gxstplc.capacity.asymptotic_capacity
+on the forced and the simplex path, and the flat ids of every virtual
+server, one flat_id call each, check the table AugmentedSystem builds
+once and what reads it.
+
 A list-of-lists eliminator (normalized pivots, one matrix at a time)
 checks the closed-form noise ranks of gxstplc.audit, and solves
 reference_decode's systems.  On top of it, the audits written one
@@ -22,7 +29,10 @@ subset and one set at a time (the rank certificate per subset, the
 exhaustive enumeration by itertools.product into a dict of counts)
 check the closed-form sweeps and the zero-observation enumeration of
 gxstplc.audit: every report must be equal, counts, violations in order
-with their details, and notes.  The enumeration's observed forms are
+with their details, and notes.  The merged audit must also equal the
+whole-side check that rebuilds the virtual configuration and asks
+_Side.clear about each group, and build that configuration only when
+that check sends a side to the walk.  The enumeration's observed forms are
 built from the scheme's formulas (reference_forms), and the forms that
 gxstplc.audit probes from the encoder and the query generator must
 equal them.  On raw random forms the dict of counts also checks the
@@ -33,18 +43,21 @@ observation, and counts are never uneven.
 import contextlib
 import dataclasses
 import itertools
+import math
 import random
 import sys
 from fractions import Fraction
 from math import comb, prod
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_config, random_covering_lp, random_pattern
-from gxstplc import exactlp
+from conftest import (TRIANGLES, random_config, random_covering_lp, random_pattern,
+                      simplex_capacity)
+from gxstplc import audit, capacity, exactlp
 from gxstplc.audit import (
     _SIDES,
     AuditReport,
@@ -57,9 +70,10 @@ from gxstplc.audit import (
     privacy_rank_certificate,
     security_rank_certificate,
 )
-from gxstplc.augment import generate_augmented_system
-from gxstplc.capacity import asymptotic_capacity, build_capacity_lp
+from gxstplc.augment import generate_augmented_system, merged_query_plan
+from gxstplc.capacity import CapacityResult, asymptotic_capacity, build_capacity_lp
 from gxstplc.demos import GRAPH_FOURTEEN, GRAPH_SIX, UNEVEN_NINE, UNEVEN_SEVEN
+from gxstplc.errors import DimensionMismatch
 from gxstplc.exactlp import LinearProgram, LpSolution, simplex_min
 from gxstplc.ff import PrimeField
 from gxstplc.pattern import min_replication_slack
@@ -567,6 +581,72 @@ def test_capacity_rows_match_reference_in_order(seed, x, t):
     assert build_capacity_lp(pattern, x, t).rows == reference_capacity_rows(pattern, x, t)
 
 
+def reference_capacity(pattern, x, t, forced=True):
+    """The capacity with Fraction bookkeeping: the vertex of _forced_vertex
+    (unless forced is false) or simplex_min, the optimum summed entry by
+    entry, L the lcm of the denominators and tau = L * vertex."""
+    if min_replication_slack(pattern, x, t) <= 0:
+        return CapacityResult(Fraction(0), True, None, None, None)
+    vertex = capacity._forced_vertex(pattern, x, t) if forced else None
+    if vertex is None:
+        sol = simplex_min(build_capacity_lp(pattern, x, t))
+        vertex = sol.vertex
+        assert sol.optimum == sum(vertex, Fraction(0))
+    assert all(sum(sorted(vertex[n - 1] for n in g)[:len(g) - x - t]) >= 1
+               for g in (ms.servers for ms in pattern.message_sets))
+    assert all(0 <= d <= 1 for d in vertex)
+    l_value = math.lcm(*(d.denominator for d in vertex))
+    scaled = [d * l_value for d in vertex]
+    assert all(d.denominator == 1 for d in scaled)
+    tau = tuple(int(d) for d in scaled)
+    assert math.gcd(l_value, *tau) == 1
+    rate = 1 / sum(vertex, Fraction(0))
+    assert rate == Fraction(l_value, sum(tau))
+    return CapacityResult(rate, False, vertex, l_value, tau)
+
+
+def assert_capacity_matches_reference(pattern, x, t):
+    """Both paths of asymptotic_capacity against the Fraction bookkeeping:
+    the forced one where it applies, and the simplex on the full row list."""
+    assert asymptotic_capacity(pattern, x, t) == reference_capacity(pattern, x, t)
+    assert simplex_capacity(pattern, x, t) == reference_capacity(pattern, x, t, forced=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 2), st.integers(0, 2))
+@example(0, 1, 1)
+def test_capacity_bookkeeping_matches_fraction_reference(seed, x, t):
+    pattern = random_pattern(random.Random(seed), n_max=7, m_max=4, x=x, t=t, max_rows=40)
+    assert_capacity_matches_reference(pattern, x, t)
+    assert_capacity_matches_reference(pattern, pattern.n_servers, 0)   # degenerate
+
+
+def test_capacity_bookkeeping_matches_fraction_reference_on_examples():
+    forced = 0
+    for pattern in EXAMPLES + (TRIANGLES,):
+        for x, t in itertools.product(range(3), repeat=2):
+            assert_capacity_matches_reference(pattern, x, t)
+            forced += capacity._forced_vertex(pattern, x, t) is not None
+    # TRIANGLES at x + t = 2; the catalogue and the random patterns hold many more
+    assert forced == 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 2), st.integers(0, 2))
+def test_flat_id_table_matches_flat_id(seed, x, t):
+    pattern = random_pattern(random.Random(seed), n_max=7, m_max=4, x=x, t=t, max_rows=40)
+    a = generate_augmented_system(pattern, x, t, asymptotic_capacity(pattern, x, t))
+    assert a.flat_groups == tuple(tuple(a.flat_id(vs) for vs in g) for g in a.r_bar)
+    copies = [[(n, i) for i in range(1, a.tau[n - 1] + 1)] for n in range(1, a.n_original + 1)]
+    assert [a.exposed((n,)) for n in range(1, a.n_original + 1)] == [
+        tuple(map(a.flat_id, vs)) for vs in copies]
+    assert [(plan.virtual_ids, plan.sets_per_copy) for plan in merged_query_plan(a)] == [
+        (tuple(map(a.flat_id, vs)),
+         tuple(tuple(m for m, g in enumerate(a.r_bar, start=1) if v in g) for v in vs))
+        for vs in copies]
+    assert [ms.servers for ms in a.virtual_pattern().message_sets] == list(a.flat_groups)
+
+
 # -- field linear algebra ----------------------------------------------------
 
 def reference_eliminate(rows: list[list[int]], q: int) -> tuple[list[list[int]], list[int]]:
@@ -700,6 +780,27 @@ def reference_merged_audit(a, params, x, t):
     return reference_report("rank_certificate", checked, violations, sampled, notes)
 
 
+def reference_merged_shortcut(a, params, x, t):
+    """The merged audit with the virtual configuration built up front: the
+    params checked against it, and a side sent to the walk unless, for
+    each set, the limit largest copy counts stay within the configuration's
+    threshold and _Side.clear passes the set's group.  Returns the report
+    (the walk of reference_merged_audit, for the sides sent to it) and
+    the sides walked."""
+    config = virtual_config(a)
+    groups = tuple(config.pattern.servers_of(m) for m in range(1, config.m_count + 1))
+    if ((params.groups, params.l_value, len(params.alpha))
+            != (groups, config.l_effective, config.n_servers)):
+        raise DimensionMismatch("params were built for a different system")
+    walked = [spec.name for spec, limit in zip(_SIDES.values(), (x, t)) if limit and not all(
+        sum(sorted(d for _, d in slots)[-limit:]) <= spec.threshold(config, m)
+        and spec.clear(params, params.group_of(m)) for m, slots in enumerate(a.delta, start=1))]
+    report = reference_merged_audit(a, params, x, t)
+    violations = [v for v in report.violations if v.detail.split(":")[0] in walked]
+    return dataclasses.replace(report, violations=tuple(violations),
+                               passed=not violations), walked
+
+
 def merged_system(pattern, x, t):
     cap = asymptotic_capacity(pattern, x, t)
     aug = generate_augmented_system(pattern, x, t, cap)
@@ -711,8 +812,11 @@ def assert_sweeps_match(config, params):
 
 
 def assert_merged_matches(aug, params, x, t):
-    report = merged_scheme_audit(aug, params, x, t)
-    assert report == reference_merged_audit(aug, params, x, t)
+    with mock.patch.object(audit, "virtual_config", wraps=virtual_config) as spy:
+        report = merged_scheme_audit(aug, params, x, t)
+    shortcut, walked = reference_merged_shortcut(aug, params, x, t)
+    assert report == reference_merged_audit(aug, params, x, t) == shortcut
+    assert spy.call_count == (1 if walked else 0)
     return report
 
 
