@@ -351,6 +351,9 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
             size = rng.randint(1, limit)
             yield tuple(sorted(rng.sample(range(1, n + 1), size)))
 
+    points = params.alpha.tolist()
+    # each set's copy counts, largest first, shared by both sides
+    counts = [sorted((d for _, d in slots), reverse=True) for slots in a.delta]
     config = None
     violations: list[Violation] = []
     notes: list[str] = []
@@ -361,11 +364,10 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
             continue
         checked += _SAMPLE_SIZE if sampled else sum(comb(n, size) for size in range(1, limit + 1))
         # distinct points (and, for queries, none on an f point): what spec.clear decides
-        points = params.alpha.tolist()
         off = set() if spec.name == "storage" else set(params.f.tolist())
-        if all(sum(sorted(d for _, d in slots)[-limit:]) <= bar
+        if all(sum(largest[:limit]) <= bar
                and len({points[v - 1] for v in group} - off) == len(group)
-               for slots, bar, group in zip(a.delta, bars, params.groups)):
+               for largest, bar, group in zip(counts, bars, params.groups)):
             continue
         config = config or virtual_config(a)
         for originals in original_subsets(limit):

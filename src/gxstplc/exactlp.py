@@ -11,9 +11,13 @@ solver works on the region intersected with x <= 1 without changing the
 optimum.  Nothing is ever rounded: the simplex pivots an int64 tableau M
 over one common positive denominator D (the tableau is T = M / D) and
 keeps the basic values as integer numerators over D; only the final
-vertex becomes fractions.Fraction.  While every entry is below 2**31,
-every product is below 2**62 and every difference of two below 2**63,
-so int64 cannot overflow; past that bound the arrays hold Python ints.
+vertex becomes fractions.Fraction.  The tableau is condensed: the basic
+columns of M are D times unit vectors, so only the n nonbasic columns
+are stored, one slot each with its reduced cost, and after a pivot the
+leaving variable takes the entering one's slot.  While D and every
+entry are below 2**31, every product is below 2**62 and every
+difference of two below 2**63, so int64 cannot overflow; past that
+bound the arrays hold Python ints.
 The solver keeps running upper bounds on the entries and measures them
 only when a bound reaches 2**31, so the switch happens at the first
 pivot whose entries reach it, as if every pivot measured them.
@@ -51,7 +55,9 @@ class LinearProgram:
     """min sum(x)  subject to  rows . x >= 1 (each row), x >= 0.
 
     Rows are 0/1 incidence tuples; every row must cover at least one
-    variable, otherwise the program would be trivially infeasible.
+    variable, otherwise the program would be trivially infeasible.  The
+    validated rows are kept as a read-only int64 array, ``incidence``
+    (an attribute, not a field), which ``simplex_min`` reads.
     """
 
     n_vars: int
@@ -73,6 +79,9 @@ class LinearProgram:
         if not table.any(axis=1).all():
             raise ValueError("a row with no variables cannot reach 1")
         object.__setattr__(self, "rows", rows)
+        table = table.astype(np.int64, copy=False)
+        table.flags.writeable = False
+        object.__setattr__(self, "incidence", table)
 
 
 @dataclass(frozen=True)
@@ -99,49 +108,57 @@ def simplex_min(lp: LinearProgram) -> LpSolution:
     return the same vertex to keep ``tau`` and every transcript.
 
     The tableau T = B^{-1} [A | -I] is M / D with D = |det B|, and the
-    reduced costs D 1 - C_B M (unit costs on x, none on the surplus) are
-    the last row of M, so pricing is a sign test.  A pivot on (p, e),
-    a = |M[p, e]| (row p negated if needed), keeps row p and maps every
-    other row to (M[i] a - M[i, e] M[p]) // D, exact because every entry
-    is a minor (Bareiss); when a == D only rows with M[i, e] != 0 change.
+    reduced costs D 1 - C_B M (unit costs on x, none on the surplus)
+    extend M by a last row, so pricing is a sign test.  The r basic
+    columns of M are D e_i with reduced cost 0, so only the n nonbasic
+    ones are stored, condensed as in Avis's lrs: slot j of the (n, r+1)
+    array ``tableau`` is the column of variable ``nonbasic[j]``, its
+    reduced cost last.  A pivot on (p, e), a = |M[p, e]| with sign sgn,
+    keeps the sign-corrected pivot row sgn M[p] and maps every other
+    entry to (M[i, j] a - M[i, e] sgn M[p, j]) // D, exact because every
+    entry is a minor (Bareiss); when a == D only the slots with
+    M[p, j] != 0 change.  The leaving variable then takes the entering
+    slot, with column -sgn c (c the entering column) and sgn D in row p.
     By Cramer's rule D x_B is integral: a bound flip adds the entering
     column to the numerators, a pivot with winning ratio P / a maps them
     to (num a + delta P) // D, and ratios compare by cross-multiplying.
-    Before each pivot, an entry of M or num at 2**31 or above turns both
-    into Python ints (dtype object) for the rest of the solve, with the
-    same statements.  The guard reads running upper bounds, not the
-    arrays: a pivot raises the bound on max |M| to bound (a + f) // D,
-    f the largest |entry| of the entering column, and the bound on
-    max |num| to (bound a + f P) // D (a flip adds f to it).  Only a
-    bound at the limit measures the entries; they promote if one is at
-    the limit and otherwise become the new bounds, so the promotion
-    comes at the same pivot as with a full scan before every pivot.
+    Before each pivot, an entry of M (D included) or num at 2**31 or
+    above turns both into Python ints (dtype object) for the rest of the
+    solve, with the same statements.  The guard reads running upper
+    bounds, not the arrays: a pivot raises the bound on max |M| to
+    bound (a + f) // D, f the largest |entry| of the entering column,
+    and the bound on max |num| to (bound a + f P) // D (a flip adds f
+    to it).  Only a bound at the limit measures the entries; they
+    promote if one is at the limit and otherwise become the new bounds,
+    so the promotion comes at the same pivot as with a full scan of the
+    whole tableau before every pivot.
     """
     n, r = lp.n_vars, len(lp.rows)
-    rows = np.array(lp.rows, dtype=np.int64).reshape(r, n)
-    # the surplus start makes B = -I, hence M = [-A | I] over D = 1; surplus costs are 0
-    tableau = np.zeros((r + 1, n + r), dtype=np.int64)
-    tableau[:r, :n] = -rows
-    tableau[:r, n:] = np.eye(r, dtype=np.int64)
-    tableau[r, :n] = 1
+    rows = lp.incidence
+    # the surplus start makes B = -I, so the x columns are -A over D = 1, with cost 1
+    tableau = np.ones((n, r + 1), dtype=np.int64)
+    tableau[:, :r] = -rows.T
+    nonbasic = np.arange(n)
     num = rows.sum(axis=1) - 1  # surplus at x = 1, nonnegative since every row covers
     basis = np.arange(n, n + r)
-    # +1 for a variable at its upper bound (only structural j < n have x_j <= 1), else -1
-    sign = np.where(np.arange(n + r) < n, 1, -1)
+    # per slot, +1 for a variable at its upper bound (only structural j < n have x_j <= 1),
+    # else -1; every x starts there
+    slot_sign = np.ones(n, dtype=np.int64)
     # upper bounds on max |M| and max |num|, kept up to date by each pivot and flip
     bound, num_bound = 1, int(num.max(initial=0))
     denom, pivots, bound_flips = 1, 0, 0
 
     while True:
-        # basic columns have reduced cost 0 exactly, so only nonbasic ones qualify
-        improving = tableau[r] * sign > 0
-        entering = int(improving.argmax())
-        if not improving[entering]:
+        # Bland's rule: the improving slot whose variable has the smallest index
+        keys = np.where(tableau[:, r] * slot_sign > 0, nonbasic, n + r)
+        slot = int(keys.argmin())
+        entering = int(keys[slot])
+        if entering == n + r:
             break
 
         # per unit step of the entering variable, basic i moves by s * M[i, e] / D
-        s = int(sign[entering])
-        col = tableau[:, entering].tolist()
+        s = int(slot_sign[slot])
+        col = tableau[slot].tolist()
         fmax = max(map(abs, col))
         # ratio test on Python ints: basic i reaches 0 (or 1) after a step of t / q
         leave_pos, best_t, best_q, best_k = -1, 1, 0, n + r
@@ -159,54 +176,62 @@ def simplex_min(lp: LinearProgram) -> LpSolution:
         # an entering surplus always meets a limit: the region lies in the unit box
         if entering < n and best_q < best_t:
             # the entering variable swaps bounds without entering the basis
-            num += tableau[:r, entering] * s
-            sign[entering] = -s
+            num += tableau[slot, :r] * s
+            slot_sign[slot] = -s
             num_bound += fmax
             bound_flips += 1
             continue
 
         if tableau.dtype != object and max(bound, num_bound) >= _INT64_LIMIT:
             # the bounds reached the limit: measure the entries, promote only if they did
-            bound = int(max(tableau.max(), -tableau.min()))
+            bound = max(int(tableau.max()), -int(tableau.min()), denom)
             num_bound = int(max(num.max(), -num.min()))
             if max(bound, num_bound) >= _INT64_LIMIT:
                 tableau, num = tableau.astype(object), num.astype(object)
         a = best_q
+        entering_col = tableau[slot].copy()
         # over the step of best_t / a, basic i moves by moves[i] / (D a)
-        moves = tableau[:r, entering] * (s * best_t)
+        moves = entering_col[:r] * (s * best_t)
         leave_value = best_t if s < 0 else a - best_t
         num_bound = max((num_bound * a + fmax * abs(best_t)) // denom, abs(leave_value))
-        # the leaving variable stops at 1 if it was rising, at 0 if falling
-        sign[basis[leave_pos]] = 1 if s * col[leave_pos] > 0 else -1
-        basis[leave_pos] = entering
-        prow = tableau[leave_pos] * (1 if col[leave_pos] > 0 else -1)
+        sgn = 1 if col[leave_pos] > 0 else -1
+        # the pivot row across the slots; the entering slot is rewritten below
+        prow = tableau[:, leave_pos] * sgn
+        prow[slot] = 0
         if a == denom:
-            # only the rows with M[i, e] != 0 change
-            nonzero.remove(leave_pos)
-            changed = np.array(nonzero)
-            update = tableau[changed, entering, None] * prow
+            # no rescale: only the slots whose pivot-row entry is nonzero change, yet at
+            # these widths one update of the whole array beats gathering them
+            update = np.multiply.outer(prow, entering_col)
             if denom != 1:
                 update //= denom
                 moves //= denom
-            tableau[changed] -= update
+            tableau -= update
+            tableau[:, leave_pos] = prow
             num += moves
         else:
-            # every row is rescaled, so the update runs over the whole array
-            factors = tableau[:, entering, None].copy()
-            factors[leave_pos] = 0
+            # every entry is rescaled
             tableau *= a
-            tableau -= factors * prow
+            tableau -= np.multiply.outer(prow, entering_col)
             tableau //= denom
+            tableau[:, leave_pos] = prow
             num *= a
             num += moves
             num //= denom
         num[leave_pos] = leave_value
-        tableau[leave_pos] = prow
+        # the leaving variable takes the entering slot: column -sgn c, sgn D in row p
+        tableau[slot] = entering_col * -sgn
+        tableau[slot, leave_pos] = sgn * denom
+        # it stops at 1 if it was rising, at 0 if falling
+        slot_sign[slot] = 1 if s * col[leave_pos] > 0 else -1
+        nonbasic[slot] = basis[leave_pos]
+        basis[leave_pos] = entering
         bound = max(bound, bound * (a + fmax) // denom)
         denom = a
         pivots += 1
 
-    values = (sign[:n] > 0).astype(tableau.dtype) * denom
+    # only structural variables have an upper bound to sit at
+    values = np.zeros(n, dtype=tableau.dtype)
+    values[nonbasic[slot_sign > 0]] = denom
     values[basis[basis < n]] = num[basis < n]
     _check_feasible(values, denom, rows)
     vertex = tuple(Fraction(int(v), denom) for v in values)

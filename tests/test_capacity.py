@@ -126,7 +126,8 @@ class TestClosedForms:
             cap = asymptotic_capacity(full_replication(rho), x, t)
             assert cap.capacity == F(rho - x - t, rho)
 
-    @pytest.mark.parametrize("rho, pivots, flips", [(15, 161, 11), (19, 564, 15)])
+    @pytest.mark.parametrize("rho, pivots, flips",
+                             [(15, 161, 11), (19, 564, 15), (23, 2123, 19)])
     def test_one_group_pivot_counts(self, rho, pivots, flips):
         # Bland's rule stalls on a symmetric group: pinned so that the path stays put
         sol = simplex_min(build_capacity_lp(full_replication(rho), 1, 1))

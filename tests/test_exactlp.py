@@ -50,6 +50,14 @@ class TestLinearProgramValidation:
         with pytest.raises(ValueError):
             LinearProgram(n_vars=2, rows=((0, 0),))
 
+    def test_keeps_the_validated_rows_as_read_only_int64(self):
+        # simplex_min reads this table instead of converting the rows again
+        lp = LinearProgram(n_vars=2, rows=(tuple(np.array([1, 0], dtype=np.uint8)), (1, 1)))
+        assert lp.incidence.dtype == np.int64
+        assert lp.incidence.tolist() == [[1, 0], [1, 1]]
+        assert not lp.incidence.flags.writeable
+        assert LinearProgram(n_vars=3, rows=()).incidence.shape == (0, 3)
+
     def test_objective_is_all_ones(self):
         # the program has no cost vector to set: the optimum is the vertex sum
         assert [f.name for f in dataclasses.fields(LinearProgram)] == ["n_vars", "rows"]

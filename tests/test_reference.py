@@ -13,7 +13,9 @@ halving products behind setup's u and v.
 The dense Fraction-tableau simplex checks the fraction-free tableau of
 gxstplc.exactlp.simplex_min: both take the same Bland pivots, so they
 must return the same optimum, vertex, basis and pivot and bound-flip
-counts, on the int64 tableau and after it turns into Python ints.
+counts, on the int64 tableau and after it turns into Python ints, and
+each slot of the condensed tableau must end as |det B| times the dense
+tableau's column of its nonbasic variable, reduced cost included.
 
 The capacity bookkeeping in Fractions (optimum summed entry by entry,
 L the lcm of the denominators, tau = L * vertex, capacity 1 / optimum)
@@ -325,12 +327,14 @@ def test_reconstruct_matches_reference_decode(case):
                                                           params.f.tolist(), q)
 
 
-def reference_simplex(lp: LinearProgram) -> tuple[LpSolution, list[Fraction]]:
+def reference_simplex(lp: LinearProgram) -> tuple[LpSolution, list[Fraction],
+                                                  tuple[dict[int, list[Fraction]], Fraction]]:
     """Bland's rule on a dense Fraction tableau from the all-at-upper start,
     minimizing sum(x).
 
     Also returns, for each pivot, |det B| * T[p][e]: the integer pivot the
-    fraction-free tableau meets there.
+    fraction-free tableau meets there; and |det B| with |det B| times the
+    final tableau's nonbasic columns, {variable: column, reduced cost last}.
     """
     n = lp.n_vars
     rows = lp.rows
@@ -423,11 +427,14 @@ def reference_simplex(lp: LinearProgram) -> tuple[LpSolution, list[Fraction]]:
     vertex = tuple(values[:n])
     solution = LpSolution(optimum=sum(vertex), vertex=vertex, basis=tuple(sorted(basis)),
                           pivots=len(integer_pivots), bound_flips=bound_flips)
-    return solution, integer_pivots
+    scaled = {j: [det * tableau[i][j] for i in range(r)]
+              + [det * (cost_full[j] - sum(cost_full[basis[i]] * tableau[i][j] for i in range(r)))]
+              for j in range(total) if not in_basis[j]}
+    return solution, integer_pivots, (scaled, det)
 
 
 def assert_same_pivot_path(lp: LinearProgram) -> list[Fraction]:
-    expected, integer_pivots = reference_simplex(lp)
+    expected, integer_pivots, _ = reference_simplex(lp)
     assert simplex_min(lp) == expected
     # every pivot of the fraction-free tableau is a minor, hence an integer
     assert all(a.denominator == 1 and a != 0 for a in integer_pivots)
@@ -466,21 +473,54 @@ def test_simplex_matches_fraction_reference_on_example_patterns():
 
 
 @contextlib.contextmanager
-def final_tableau_kinds():
-    """Collects the dtype kind of simplex_min's tableau as each call returns:
-    'i' for int64, 'O' for Python ints."""
-    kinds = []
+def simplex_returns(read):
+    """Collects read(f_locals) as each simplex_min call returns."""
+    seen = []
 
     def spy(frame, event, arg):
         if event == "return" and frame.f_code is simplex_min.__code__:
-            kinds.append(frame.f_locals["tableau"].dtype.kind)
+            seen.append(read(frame.f_locals))
 
     previous = sys.getprofile()
     sys.setprofile(spy)
     try:
-        yield kinds
+        yield seen
     finally:
         sys.setprofile(previous)
+
+
+def final_tableau_kinds():
+    """Collects the dtype kind of simplex_min's tableau as each call returns:
+    'i' for int64, 'O' for Python ints."""
+    return simplex_returns(lambda f: f["tableau"].dtype.kind)
+
+
+def condensed_columns(f):
+    """simplex_min's final tableau as {nonbasic variable: slot}, and D."""
+    slots = {int(v): [int(e) for e in slot] for v, slot in zip(f["nonbasic"], f["tableau"])}
+    return slots, f["denom"]
+
+
+def assert_condensed_tableaus_match(lps):
+    # each slot ends as D times the reference's column of its variable, reduced cost
+    # last, on int64 and with the limit at 1 (Python ints from the first pivot on)
+    expected = [reference_simplex(lp)[2] for lp in lps]
+    for limit in (exactlp._INT64_LIMIT, 1):
+        with pytest.MonkeyPatch.context() as mp, simplex_returns(condensed_columns) as finals:
+            mp.setattr(exactlp, "_INT64_LIMIT", limit)
+            for lp in lps:
+                simplex_min(lp)
+        assert finals == expected, limit
+
+
+@settings(max_examples=100, deadline=None)
+@given(covering_lps())
+def test_condensed_tableau_is_the_scaled_reference_tableau(lp):
+    assert_condensed_tableaus_match([lp])
+
+
+def test_condensed_tableau_is_the_scaled_reference_tableau_on_example_patterns():
+    assert_condensed_tableaus_match(list(example_programs()))
 
 
 def test_promoted_tableau_matches_fraction_reference_on_example_patterns():
