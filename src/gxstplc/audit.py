@@ -45,7 +45,6 @@ from .scheme import (
     _shapes,
     encode_storage,
     generate_queries,
-    virtual_config,
 )
 
 _EXHAUSTIVE_CELL_CAP = 10**7
@@ -93,53 +92,58 @@ class _Side:
     """
 
     name: str         # "storage" or "query", the prefix of violation details
+    thresholds: str   # the AsymmConfig field holding its per-set thresholds
+    avoids_f: bool    # a point on f_l zeroes its rows at slot l
     shortfall: str    # where a rank shortfall lies; {l} is the slot
     sweep_note: str   # what a zero threshold gives up, per set
     merged_note: str  # the merged audit's note for a zero threshold
 
     def threshold(self, config: AsymmConfig, m: int) -> int:
-        return (config.x_vec if self.name == "storage" else config.t_vec)[m - 1]
+        return getattr(config, self.thresholds)[m - 1]
 
-    def ranks(self, params: SchemeParams, servers: Collection[int]) -> list[int]:
-        """Per slot, the distinct points of the servers, off f_l for queries:
-        the rank of their noise rows when there are at most depth servers."""
-        points = {int(params.alpha[n - 1]) for n in servers}
-        if self.name == "storage":
-            return [len(points)]
-        return [len(points - {f}) for f in params.f.tolist()]
+    def ranks(self, points: Collection[int], f: Collection[int]) -> list[int]:
+        """Per slot, the distinct points, off f_l if the side avoids f: the
+        rank of their noise rows when there are at most depth of them."""
+        distinct = set(points)
+        return [len(distinct - {p}) for p in f] if self.avoids_f else [len(distinct)]
 
-    def clear(self, params: SchemeParams, servers: Collection[int]) -> bool:
-        """True iff every subset of at most depth of the servers passes."""
-        return all(rank == len(servers) for rank in self.ranks(params, servers))
+    def clear(self, points: Collection[int], f: Collection[int]) -> bool:
+        """True iff every subset of at most depth of the points passes: they
+        are distinct and, if the side avoids f, off every f point."""
+        return len(set(points).difference(f if self.avoids_f else ())) == len(points)
 
 
 _SIDES = {side.name: side for side in (
-    _Side("storage", "observed shares", "storage secrecy not promised (x=0)",
+    _Side("storage", "x_vec", False, "observed shares", "storage secrecy not promised (x=0)",
           "security: no colluding sets to check (x=0)"),
-    _Side("query", "at slot {l}", "query privacy not promised (t=0)",
+    _Side("query", "t_vec", True, "at slot {l}", "query privacy not promised (t=0)",
           "privacy: not applicable (t=0)"),
 )}
 
 
-def _verdict(config: AsymmConfig, params: SchemeParams, spec: _Side, m: int,
-             hit: Collection[int]) -> str | None:
-    """None if the servers hit of set m's group learn nothing about m on
-    this side, else why not."""
-    s, depth = len(hit), spec.threshold(config, m)
+def _verdict(spec: _Side, depth: int, points: Collection[int],
+             f: Collection[int]) -> str | None:
+    """None if colluders at these points of one group, threshold depth,
+    learn nothing about its set on this side, else why not."""
+    s = len(points)
     if s > depth:
         return f"{s} colluders in the group exceed the threshold {depth}"
-    for l, rank in enumerate(spec.ranks(params, hit), start=1):
+    for l, rank in enumerate(spec.ranks(points, f), start=1):
         if rank != s:
             return f"{spec.name} noise covers rank {rank} of {s} {spec.shortfall.format(l=l)}"
     return None
 
 
-def _check_params(config: AsymmConfig, params: SchemeParams) -> None:
-    """Refuse params set up for another configuration: groups, L and N must match."""
-    groups = tuple(config.pattern.servers_of(m) for m in range(1, config.m_count + 1))
-    if ((params.groups, params.l_value, len(params.alpha))
-            != (groups, config.l_effective, config.n_servers)):
+def _check_params(params: SchemeParams, groups: tuple[tuple[int, ...], ...],
+                  l_value: int, n_servers: int) -> None:
+    """Refuse params set up for another system: groups, L and N must match."""
+    if (params.groups, params.l_value, len(params.alpha)) != (groups, l_value, n_servers):
         raise DimensionMismatch("params were built for a different system")
+
+
+def _check_config(config: AsymmConfig, params: SchemeParams) -> None:
+    groups = tuple(config.pattern.servers_of(m) for m in range(1, config.m_count + 1))
+    _check_params(params, groups, config.l_effective, config.n_servers)
 
 
 def _check_servers(subset: tuple[int, ...], n_servers: int) -> None:
@@ -150,10 +154,11 @@ def _check_servers(subset: tuple[int, ...], n_servers: int) -> None:
 
 def _certificate(config: AsymmConfig, params: SchemeParams,
                  subset: tuple[int, ...], side: str) -> bool:
-    _check_params(config, params)
+    _check_config(config, params)
     _check_servers(subset, config.n_servers)
-    held = set(subset)
-    return all(_verdict(config, params, _SIDES[side], m, held.intersection(group)) is None
+    spec, points, f, held = _SIDES[side], params.alpha.tolist(), params.f.tolist(), set(subset)
+    return all(_verdict(spec, spec.threshold(config, m),
+                        [points[n - 1] for n in held.intersection(group)], f) is None
                for m, group in enumerate(params.groups, start=1))
 
 
@@ -259,7 +264,7 @@ def exhaustive_independence_audit(config: AsymmConfig, params: SchemeParams,
     """
     if side not in ("storage", "query", "both"):
         raise ValueError(f"unknown side {side!r}")
-    _check_params(config, params)
+    _check_config(config, params)
     _check_servers(subset, config.n_servers)
     subset = tuple(sorted(set(subset)))
     violations: list[Violation] = []
@@ -290,7 +295,8 @@ def asymm_scheme_audit(config: AsymmConfig, params: SchemeParams) -> AuditReport
     point passes all of them at once; the subsets of any other group are
     walked to name the violations.
     """
-    _check_params(config, params)
+    _check_config(config, params)
+    points, f = params.alpha.tolist(), params.f.tolist()
     violations: list[Violation] = []
     notes: list[str] = []
     checked = 0
@@ -301,11 +307,11 @@ def asymm_scheme_audit(config: AsymmConfig, params: SchemeParams) -> AuditReport
             if depth == 0:
                 notes.append(f"set {m}: {spec.sweep_note}")
             checked += sum(comb(len(group), size) for size in range(1, depth + 1))
-            if spec.clear(params, group):
+            if spec.clear([points[n - 1] for n in group], f):
                 continue
             for size in range(1, depth + 1):
                 for subset in itertools.combinations(group, size):
-                    detail = _verdict(config, params, spec, m, subset)
+                    detail = _verdict(spec, depth, [points[n - 1] for n in subset], f)
                     if detail is not None:
                         violations.append(Violation(subset, m, f"{spec.name}: {detail}"))
     return _report("rank_certificate", checked, violations, notes=tuple(notes))
@@ -327,14 +333,12 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
     subsets, to name the violations: every subset of up to x (or t)
     originals on small systems, a deterministic sample on larger ones.
     The report counts and flags the subsets that walk covers either way.
-    x and t must be the thresholds the system was built for.  Only a
-    walk builds the virtual configuration.
+    x and t must be the thresholds the system was built for; the
+    inflated thresholds are read off the system.
     """
     if (x, t) != (a.x, a.t):
         raise DimensionMismatch(f"system built for x={a.x}, t={a.t}, audited at x={x}, t={t}")
-    if ((params.groups, params.l_value, len(params.alpha))
-            != (a.flat_groups, a.l_value, a.n_virtual)):
-        raise DimensionMismatch("params were built for a different system")
+    _check_params(params, a.flat_groups, a.l_value, a.n_virtual)
 
     n = a.n_original
     total = sum(comb(n, size) for size in range(1, x + 1))
@@ -351,10 +355,10 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
             size = rng.randint(1, limit)
             yield tuple(sorted(rng.sample(range(1, n + 1), size)))
 
-    points = params.alpha.tolist()
-    # each set's copy counts, largest first, shared by both sides
+    points, f = params.alpha.tolist(), params.f.tolist()
+    # each set's copy counts, largest first, and virtual points, shared by both sides
     counts = [sorted((d for _, d in slots), reverse=True) for slots in a.delta]
-    config = None
+    group_points = [[points[v - 1] for v in group] for group in params.groups]
     violations: list[Violation] = []
     notes: list[str] = []
     checked = 0
@@ -363,18 +367,14 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
             notes.append(spec.merged_note)
             continue
         checked += _SAMPLE_SIZE if sampled else sum(comb(n, size) for size in range(1, limit + 1))
-        # distinct points (and, for queries, none on an f point): what spec.clear decides
-        off = set() if spec.name == "storage" else set(params.f.tolist())
-        if all(sum(largest[:limit]) <= bar
-               and len({points[v - 1] for v in group} - off) == len(group)
-               for largest, bar, group in zip(counts, bars, params.groups)):
+        if all(sum(largest[:limit]) <= bar and spec.clear(at, f)
+               for largest, bar, at in zip(counts, bars, group_points)):
             continue
-        config = config or virtual_config(a)
         for originals in original_subsets(limit):
             exposed = a.exposed(originals)
-            for m, group in enumerate(params.groups, start=1):
-                hit = [v for v in exposed if v in group]
-                detail = _verdict(config, params, spec, m, hit) if hit else None
+            for m, (group, bar) in enumerate(zip(params.groups, bars), start=1):
+                hit = [points[v - 1] for v in exposed if v in group]
+                detail = _verdict(spec, bar, hit, f) if hit else None
                 if detail is not None:
                     violations.append(Violation(originals, m, f"{spec.name}: {detail}"))
     return _report("rank_certificate", checked, violations, sampled=sampled, notes=tuple(notes))

@@ -113,9 +113,7 @@ def generate_augmented_system(
     delta: list[tuple[tuple[int, int], ...]] = []
     for m in range(1, p.m_count + 1):
         group = p.servers_of(m)
-        # budgets sorted high to low, ties broken by ascending server id
-        ordered = sorted(group, key=lambda n: (-tau[n - 1], n))
-        g = tau[ordered[x + t] - 1]
+        g = sorted((tau[n - 1] for n in group), reverse=True)[x + t]
         slots = tuple((n, min(g, tau[n - 1])) for n in group)
         members = tuple((n, i) for n, d in slots for i in range(1, d + 1))
         nu = sum(d for _, d in slots) - (x + t) * g

@@ -683,7 +683,7 @@ class MergedSimulation:
     augmented: AugmentedSystem
     run: SimulationResult
     downloads: tuple[int, ...]  # per original server, tau_n symbols
-    rate: Fraction
+    rate: Fraction              # run.rate: L over the sum(tau) virtual servers
 
 
 def simulate_merged(p: StoragePattern, x: int, t: int, seed: int,
@@ -703,13 +703,12 @@ def simulate_merged(p: StoragePattern, x: int, t: int, seed: int,
         )
     aug = generate_augmented_system(p, x, t, cap)
     run = simulate(virtual_config(aug, p.counts), seed, field_override)
-    rate = Fraction(aug.l_value, aug.n_virtual)
-    if rate != cap.capacity:
-        raise InvariantViolation(f"merged rate {rate} != capacity {cap.capacity}")
+    if run.rate != cap.capacity:
+        raise InvariantViolation(f"merged rate {run.rate} != capacity {cap.capacity}")
     return MergedSimulation(
         capacity=cap,
         augmented=aug,
         run=run,
         downloads=aug.tau,
-        rate=rate,
+        rate=run.rate,
     )

@@ -7,8 +7,9 @@ import random
 import pytest
 
 from conftest import random_pattern
-from gxstplc import audit
+from gxstplc import audit, scheme
 from gxstplc.audit import (
+    AuditReport,
     asymm_scheme_audit,
     exhaustive_independence_audit,
     merged_scheme_audit,
@@ -33,6 +34,22 @@ FOREIGN = {
     "n_servers": AsymmConfig(
         StoragePattern(4, (MessageSet((1, 2, 3)), MessageSet((1, 2)))), (1, 1), (0, 0)),
 }
+
+
+# GRAPH_SIX at x = t = 1 with every inflated threshold lowered by one: each
+# original server fails every set it holds; server 3 holds copies of both
+# sets, servers 4 and 6 only of set 2
+_LOWERED_STORAGE = [
+    ((1,), 1, "storage: 1 colluders in the group exceed the threshold 0"),
+    ((2,), 1, "storage: 1 colluders in the group exceed the threshold 0"),
+    ((3,), 1, "storage: 1 colluders in the group exceed the threshold 0"),
+    ((3,), 2, "storage: 2 colluders in the group exceed the threshold 1"),
+    ((4,), 2, "storage: 2 colluders in the group exceed the threshold 1"),
+    ((5,), 1, "storage: 1 colluders in the group exceed the threshold 0"),
+    ((6,), 2, "storage: 2 colluders in the group exceed the threshold 1"),
+]
+LOWERED_SIX = _LOWERED_STORAGE + [(s, m, d.replace("storage", "query"))
+                                  for s, m, d in _LOWERED_STORAGE]
 
 
 def merged_setup(pattern, x, t):
@@ -271,36 +288,26 @@ class TestMergedAudit:
         assert not report.passed
         assert report.checked_subsets == 12
         found = [(v.subset, v.message_set, v.detail) for v in report.violations]
-        # server 3 holds copies of both sets; servers 4 and 6 only of set 2
-        storage = [
-            ((1,), 1, "storage: 1 colluders in the group exceed the threshold 0"),
-            ((2,), 1, "storage: 1 colluders in the group exceed the threshold 0"),
-            ((3,), 1, "storage: 1 colluders in the group exceed the threshold 0"),
-            ((3,), 2, "storage: 2 colluders in the group exceed the threshold 1"),
-            ((4,), 2, "storage: 2 colluders in the group exceed the threshold 1"),
-            ((5,), 1, "storage: 1 colluders in the group exceed the threshold 0"),
-            ((6,), 2, "storage: 2 colluders in the group exceed the threshold 1"),
-        ]
-        query = [(s, m, d.replace("storage", "query")) for s, m, d in storage]
-        assert found == storage + query
+        assert found == LOWERED_SIX
 
     def test_passing_audit_rebuilds_nothing(self, monkeypatch):
-        # the params are checked against the system's own flat-id table, so a
-        # passing audit neither builds the virtual configuration nor asks
-        # flat_id; a failing side builds the configuration once for its walk
+        # the params are checked against the system's own flat-id table and
+        # the walk reads the inflated thresholds off the system, so neither a
+        # passing nor a failing audit builds the virtual configuration or
+        # asks flat_id
         aug, _, params = merged_setup(GRAPH_SIX, 1, 1)
-        calls = []
-        build, flat_id = audit.virtual_config, AugmentedSystem.flat_id
-        monkeypatch.setattr(audit, "virtual_config",
-                            lambda a: calls.append("virtual_config") or build(a))
-        monkeypatch.setattr(AugmentedSystem, "flat_id",
-                            lambda a, vs: calls.append("flat_id") or flat_id(a, vs))
-        assert merged_scheme_audit(aug, params, 1, 1).passed
-        assert calls == []
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the merged audit rebuilt the virtual system")
+        monkeypatch.setattr(scheme, "virtual_config", refuse)
+        monkeypatch.setattr(AugmentedSystem, "flat_id", refuse)
+        assert merged_scheme_audit(aug, params, 1, 1) == AuditReport(
+            mode="rank_certificate", checked_subsets=12, violations=(), passed=True)
         lowered = dataclasses.replace(aug, x_bar=tuple(v - 1 for v in aug.x_bar),
                                       t_bar=tuple(v - 1 for v in aug.t_bar))
-        assert not merged_scheme_audit(lowered, params, 1, 1).passed
-        assert calls == ["virtual_config"]
+        report = merged_scheme_audit(lowered, params, 1, 1)
+        assert (report.checked_subsets, report.passed, report.sampled) == (12, False, False)
+        assert [(v.subset, v.message_set, v.detail) for v in report.violations] == LOWERED_SIX
 
     def test_zero_thresholds_noted(self):
         p = StoragePattern(3, (MessageSet((1, 2, 3)),))

@@ -33,8 +33,8 @@ check the closed-form sweeps and the zero-observation enumeration of
 gxstplc.audit: every report must be equal, counts, violations in order
 with their details, and notes.  The merged audit must also equal the
 whole-side check that rebuilds the virtual configuration and asks
-_Side.clear about each group, and build that configuration only when
-that check sends a side to the walk.  The enumeration's observed forms are
+_Side.clear about each group's points, and _Side.clear must hold exactly
+when every closed-form rank is full.  The enumeration's observed forms are
 built from the scheme's formulas (reference_forms), and the forms that
 gxstplc.audit probes from the encoder and the query generator must
 equal them.  On raw random forms the dict of counts also checks the
@@ -50,7 +50,6 @@ import random
 import sys
 from fractions import Fraction
 from math import comb, prod
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -59,7 +58,7 @@ from hypothesis import strategies as st
 
 from conftest import (TRIANGLES, random_config, random_covering_lp, random_pattern,
                       simplex_capacity)
-from gxstplc import audit, capacity, exactlp
+from gxstplc import capacity, exactlp
 from gxstplc.audit import (
     _SIDES,
     AuditReport,
@@ -824,21 +823,22 @@ def reference_merged_shortcut(a, params, x, t):
     """The merged audit with the virtual configuration built up front: the
     params checked against it, and a side sent to the walk unless, for
     each set, the limit largest copy counts stay within the configuration's
-    threshold and _Side.clear passes the set's group.  Returns the report
-    (the walk of reference_merged_audit, for the sides sent to it) and
-    the sides walked."""
+    threshold and _Side.clear passes the points of the set's group.
+    Returns the report: the walk of reference_merged_audit, for the sides
+    sent to it."""
     config = virtual_config(a)
     groups = tuple(config.pattern.servers_of(m) for m in range(1, config.m_count + 1))
     if ((params.groups, params.l_value, len(params.alpha))
             != (groups, config.l_effective, config.n_servers)):
         raise DimensionMismatch("params were built for a different system")
+    f = params.f.tolist()
     walked = [spec.name for spec, limit in zip(_SIDES.values(), (x, t)) if limit and not all(
         sum(sorted(d for _, d in slots)[-limit:]) <= spec.threshold(config, m)
-        and spec.clear(params, params.group_of(m)) for m, slots in enumerate(a.delta, start=1))]
+        and spec.clear([int(params.alpha[n - 1]) for n in params.group_of(m)], f)
+        for m, slots in enumerate(a.delta, start=1))]
     report = reference_merged_audit(a, params, x, t)
     violations = [v for v in report.violations if v.detail.split(":")[0] in walked]
-    return dataclasses.replace(report, violations=tuple(violations),
-                               passed=not violations), walked
+    return dataclasses.replace(report, violations=tuple(violations), passed=not violations)
 
 
 def merged_system(pattern, x, t):
@@ -852,11 +852,9 @@ def assert_sweeps_match(config, params):
 
 
 def assert_merged_matches(aug, params, x, t):
-    with mock.patch.object(audit, "virtual_config", wraps=virtual_config) as spy:
-        report = merged_scheme_audit(aug, params, x, t)
-    shortcut, walked = reference_merged_shortcut(aug, params, x, t)
-    assert report == reference_merged_audit(aug, params, x, t) == shortcut
-    assert spy.call_count == (1 if walked else 0)
+    report = merged_scheme_audit(aug, params, x, t)
+    assert report == reference_merged_audit(aug, params, x, t) == reference_merged_shortcut(
+        aug, params, x, t)
     return report
 
 
@@ -973,7 +971,16 @@ def test_closed_form_ranks_match_row_ranks(case):
         per_server = [reference_noise_rows(params, side, a, depth) for a in params.alpha.tolist()]
         slots = len(reference_noise_rows(params, side, 0, depth))
         expected = [reference_rank([rows[l] for rows in per_server], q) for l in range(slots)]
-        assert spec.ranks(params, range(1, s + 1)) == expected
+        assert spec.ranks(params.alpha.tolist(), params.f.tolist()) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_multisets())
+def test_clear_iff_every_rank_is_full(case):
+    params, _, s = case
+    points, f = params.alpha.tolist(), params.f.tolist()
+    for spec in _SIDES.values():
+        assert spec.clear(points, f) == all(rank == s for rank in spec.ranks(points, f))
 
 
 def test_colliding_points_pass_when_no_subset_sees_two():
@@ -981,7 +988,8 @@ def test_colliding_points_pass_when_no_subset_sees_two():
     config = AsymmConfig(TRIPLE, (1,), (1,), l_value=1)
     params = setup(config)
     colliding = with_alpha(params, {2: params.alpha[0]})
-    assert not any(spec.clear(colliding, (1, 2, 3)) for spec in _SIDES.values())
+    points = colliding.alpha.tolist()
+    assert not any(spec.clear(points, colliding.f.tolist()) for spec in _SIDES.values())
     assert asymm_scheme_audit(config, colliding).passed
     assert_sweeps_match(config, colliding)
 
@@ -990,7 +998,7 @@ def test_point_on_f_passes_without_query_privacy():
     config = AsymmConfig(PAIR, (1,), (0,))
     params = setup(config)
     on_f = with_alpha(params, {2: params.f[0]})
-    assert not _SIDES["query"].clear(on_f, (1, 2))
+    assert not _SIDES["query"].clear(on_f.alpha.tolist(), on_f.f.tolist())
     assert asymm_scheme_audit(config, on_f).passed
     assert_sweeps_match(config, on_f)
 
