@@ -13,8 +13,12 @@ takes min(gamma_m, tau_n) copies from each member n, and the thresholds
 scale to x * gamma_m and t * gamma_m.  Colluding original servers then
 expose at most x * gamma_m virtual members of any group, which is what
 the security audit checks.
-Copy i of server n has flat id offset_n + i (offset_n: the budgets of
-servers 1 .. n - 1); each system tabulates its groups' flat ids once.
+An AugmentedSystem holds only what augmentation chooses: each R_m, x,
+t, L, tau, gamma and the inflated thresholds.  Every table derives from
+them on first use and stays cached: the copy counts delta, the (n, i)
+groups r_bar, the virtual servers, and the groups as flat ids (copy i
+of server n is offset_n + i, offset_n the budgets of servers before n).
+So a dataclasses.replace copy never holds stale tables.
 """
 
 from __future__ import annotations
@@ -32,21 +36,22 @@ VirtualServer = tuple[int, int]  # (original server, copy index), both 1-based
 
 @dataclass(frozen=True)
 class AugmentedSystem:
-    n_original: int
+    groups: tuple[tuple[int, ...], ...]  # each set's R_m
     x: int
     t: int
     l_value: int
     tau: tuple[int, ...]
-    virtual_servers: tuple[VirtualServer, ...]
-    r_bar: tuple[tuple[VirtualServer, ...], ...]
     gamma: tuple[int, ...]
     x_bar: tuple[int, ...]
     t_bar: tuple[int, ...]
-    delta: tuple[tuple[tuple[int, int], ...], ...]  # per m: ((n, copies), ...)
+
+    @property
+    def n_original(self) -> int:
+        return len(self.tau)
 
     @property
     def n_virtual(self) -> int:
-        return len(self.virtual_servers)
+        return self._offsets[-1]
 
     @cached_property
     def _offsets(self) -> tuple[int, ...]:
@@ -54,9 +59,27 @@ class AugmentedSystem:
         return tuple(accumulate(self.tau, initial=0))
 
     @cached_property
+    def delta(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per set m: (n, copies of n in m's virtual group) for each member n."""
+        return tuple(tuple((n, min(g, self.tau[n - 1])) for n in group)
+                     for group, g in zip(self.groups, self.gamma))
+
+    @cached_property
+    def r_bar(self) -> tuple[tuple[VirtualServer, ...], ...]:
+        """Each set's virtual group: the first delta copies of each member."""
+        return tuple(tuple((n, i) for n, d in slots for i in range(1, d + 1))
+                     for slots in self.delta)
+
+    @cached_property
+    def virtual_servers(self) -> tuple[VirtualServer, ...]:
+        return tuple((n, i) for n, d in enumerate(self.tau, start=1) for i in range(1, d + 1))
+
+    @cached_property
     def flat_groups(self) -> tuple[tuple[int, ...], ...]:
         """Each set's virtual group as flat ids, in r_bar order (ascending)."""
-        return tuple(tuple(self._offsets[n - 1] + i for n, i in g) for g in self.r_bar)
+        o = self._offsets
+        return tuple(tuple(v for n, d in slots for v in range(o[n - 1] + 1, o[n - 1] + d + 1))
+                     for slots in self.delta)
 
     def flat_id(self, vs: VirtualServer) -> int:
         """1-based position of a virtual server in the global order."""
@@ -65,10 +88,15 @@ class AugmentedSystem:
             raise ValueError(f"no such virtual server: {vs}")
         return self._offsets[n - 1] + i
 
-    def exposed(self, originals: tuple[int, ...]) -> tuple[int, ...]:
-        """Flat ids of every virtual copy of the given original servers."""
+    def _check_originals(self, originals: tuple[int, ...]) -> None:
         if not all(1 <= n <= self.n_original for n in originals):
             raise ValueError(f"no such server in {originals}")
+        if len(set(originals)) != len(originals):
+            raise ValueError(f"servers listed twice in {originals}")
+
+    def exposed(self, originals: tuple[int, ...]) -> tuple[int, ...]:
+        """Flat ids of every virtual copy of the given original servers."""
+        self._check_originals(originals)
         offsets = self._offsets
         return tuple(v for n in originals for v in range(offsets[n - 1] + 1, offsets[n] + 1))
 
@@ -76,10 +104,10 @@ class AugmentedSystem:
         """The augmented system as a flat pattern over virtual servers;
         counts, one per set, default to one message each."""
         if counts is None:
-            counts = tuple(1 for _ in self.r_bar)
-        if len(counts) != len(self.r_bar):
+            counts = tuple(1 for _ in self.groups)
+        if len(counts) != len(self.groups):
             raise DimensionMismatch(
-                f"{len(counts)} message counts for {len(self.r_bar)} sets")
+                f"{len(counts)} message counts for {len(self.groups)} sets")
         sets = tuple(MessageSet(ids, k) for ids, k in zip(self.flat_groups, counts))
         return StoragePattern(self.n_virtual, sets)
 
@@ -103,42 +131,17 @@ def generate_augmented_system(
     if len(tau) != p.n_servers:
         raise DegenerateInput("download profile does not match the pattern")
 
-    virtual = tuple(
-        (n, i) for n in range(1, p.n_servers + 1) for i in range(1, tau[n - 1] + 1)
-    )
-    gamma: list[int] = []
-    x_bar: list[int] = []
-    t_bar: list[int] = []
-    r_bar: list[tuple[VirtualServer, ...]] = []
-    delta: list[tuple[tuple[int, int], ...]] = []
-    for m in range(1, p.m_count + 1):
-        group = p.servers_of(m)
-        g = sorted((tau[n - 1] for n in group), reverse=True)[x + t]
-        slots = tuple((n, min(g, tau[n - 1])) for n in group)
-        members = tuple((n, i) for n, d in slots for i in range(1, d + 1))
+    gamma = tuple(sorted((tau[n - 1] for n in ms.servers), reverse=True)[x + t]
+                  for ms in p.message_sets)
+    a = AugmentedSystem(groups=tuple(ms.servers for ms in p.message_sets), x=x, t=t,
+                        l_value=cap.l_value, tau=tau, gamma=gamma,
+                        x_bar=tuple(x * g for g in gamma), t_bar=tuple(t * g for g in gamma))
+    for m, (slots, g) in enumerate(zip(a.delta, gamma), start=1):
         nu = sum(d for _, d in slots) - (x + t) * g
         if nu < cap.l_value:
             raise InvariantViolation(
                 f"set {m} leaves {nu} decodable slots, fewer than L = {cap.l_value}")
-        gamma.append(g)
-        x_bar.append(x * g)
-        t_bar.append(t * g)
-        r_bar.append(members)
-        delta.append(slots)
-
-    return AugmentedSystem(
-        n_original=p.n_servers,
-        x=x,
-        t=t,
-        l_value=cap.l_value,
-        tau=tau,
-        virtual_servers=virtual,
-        r_bar=tuple(r_bar),
-        gamma=tuple(gamma),
-        x_bar=tuple(x_bar),
-        t_bar=tuple(t_bar),
-        delta=tuple(delta),
-    )
+    return a
 
 
 def merged_query_plan(a: AugmentedSystem) -> tuple[ServerPlan, ...]:
@@ -167,9 +170,5 @@ def collusion_exposure(a: AugmentedSystem, colluders: tuple[int, ...]) -> tuple[
     Exposure of group m is sum over colluders of delta_{m,n}; the
     construction keeps it at or below x * gamma_m for any x colluders.
     """
-    for n in colluders:
-        if not (1 <= n <= a.n_original):
-            raise ValueError(f"no such server: {n}")
-    if len(set(colluders)) != len(colluders):
-        raise ValueError("colluders listed twice")
+    a._check_originals(colluders)
     return tuple(sum(dict(slots).get(n, 0) for n in colluders) for slots in a.delta)

@@ -18,10 +18,10 @@ from gxstplc.audit import (
 )
 from gxstplc.augment import AugmentedSystem, generate_augmented_system
 from gxstplc.capacity import asymptotic_capacity
-from gxstplc.demos import GRAPH_SIX, UNEVEN_NINE, UNEVEN_SEVEN
+from gxstplc.demos import GRAPH_FOURTEEN, GRAPH_SIX, UNEVEN_NINE, UNEVEN_SEVEN
 from gxstplc.errors import DimensionMismatch, ScaleExceeded
 from gxstplc.pattern import MessageSet, StoragePattern
-from gxstplc.scheme import AsymmConfig, setup, virtual_config
+from gxstplc.scheme import AsymmConfig, setup, simulate_merged, virtual_config
 
 PAIR = StoragePattern(2, (MessageSet((1, 2)),))
 TRIPLE = StoragePattern(3, (MessageSet((1, 2, 3)),))
@@ -308,6 +308,18 @@ class TestMergedAudit:
         report = merged_scheme_audit(lowered, params, 1, 1)
         assert (report.checked_subsets, report.passed, report.sampled) == (12, False, False)
         assert [(v.subset, v.message_set, v.detail) for v in report.violations] == LOWERED_SIX
+
+    @pytest.mark.parametrize("pattern", [GRAPH_SIX, GRAPH_FOURTEEN], ids=["six", "fourteen"])
+    def test_passing_run_lists_no_virtual_pairs(self, pattern, monkeypatch):
+        # augmentation, the merged round and a passing audit read copy
+        # counts and flat ids only: no (n, i) pair of r_bar or virtual_servers
+        def refuse(self):
+            raise AssertionError("built a table of (n, i) pairs")
+        monkeypatch.setattr(AugmentedSystem, "r_bar", property(refuse))
+        monkeypatch.setattr(AugmentedSystem, "virtual_servers", property(refuse))
+        sim = simulate_merged(pattern, 1, 1, 0)
+        assert sim.run.match
+        assert merged_scheme_audit(sim.augmented, sim.run.params, 1, 1).passed
 
     def test_zero_thresholds_noted(self):
         p = StoragePattern(3, (MessageSet((1, 2, 3)),))

@@ -1,5 +1,6 @@
 """Virtual-server augmentation and the merged download plan."""
 
+import dataclasses
 import random
 from fractions import Fraction as F
 from functools import cached_property
@@ -204,10 +205,36 @@ class TestValidation:
         with pytest.raises(ValueError):
             a.flat_id((1, 2))
 
-    @pytest.mark.parametrize("originals", [(0,), (7,), (1, 7)])
+    @pytest.mark.parametrize("originals", [(0,), (7,), (1, 7), (3, 3)])
     def test_unknown_originals_not_exposed(self, originals):
         with pytest.raises(ValueError):
             six_server_system().exposed(originals)
+
+
+class TestDerivedTables:
+    def test_record_holds_only_what_augmentation_chooses(self):
+        assert [f.name for f in dataclasses.fields(AugmentedSystem)] == [
+            "groups", "x", "t", "l_value", "tau", "gamma", "x_bar", "t_bar"]
+        a = six_server_system()
+        assert a.groups == (GRAPH_SIX.servers_of(1), GRAPH_SIX.servers_of(2))
+        assert (a.n_original, a.n_virtual) == (6, 9)
+        assert a.delta == (((1, 1), (2, 1), (3, 1), (5, 1)),
+                           ((3, 2), (4, 2), (6, 2)))
+
+    @pytest.mark.parametrize("pattern,other", [
+        (GRAPH_SIX, (1, 0)), (GRAPH_FOURTEEN, (1, 2))], ids=["six", "fourteen"])
+    def test_tables_follow_a_replace(self, pattern, other):
+        # the tables of a, once built, stay on a: a copy that takes another
+        # system's choices derives that system's tables
+        a = generate_augmented_system(pattern, 1, 1, asymptotic_capacity(pattern, 1, 1))
+        b = generate_augmented_system(pattern, *other, asymptotic_capacity(pattern, *other))
+        tables = ("delta", "r_bar", "flat_groups", "virtual_servers")
+        before = [getattr(a, name) for name in tables]
+        assert before != [getattr(b, name) for name in tables]
+        copy = dataclasses.replace(a, tau=b.tau, gamma=b.gamma, x_bar=b.x_bar, t_bar=b.t_bar)
+        assert [getattr(copy, name) for name in tables] == [getattr(b, name) for name in tables]
+        assert (copy.n_virtual, copy.virtual_pattern()) == (b.n_virtual, b.virtual_pattern())
+        assert [getattr(a, name) for name in tables] == before
 
 
 class TestInvariants:

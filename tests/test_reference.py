@@ -22,7 +22,9 @@ L the lcm of the denominators, tau = L * vertex, capacity 1 / optimum)
 checks the integer bookkeeping of gxstplc.capacity.asymptotic_capacity
 on the forced and the simplex path, and the flat ids of every virtual
 server, one flat_id call each, check the table AugmentedSystem builds
-once and what reads it.
+once and what reads it.  Augmentation built eagerly, every (n, i) pair
+listed (reference_augment), checks the copy counts, groups, virtual
+servers and flat ids that AugmentedSystem derives from its choices.
 
 A list-of-lists eliminator (normalized pivots, one matrix at a time)
 checks the closed-form noise ranks of gxstplc.audit, and solves
@@ -684,6 +686,48 @@ def test_flat_id_table_matches_flat_id(seed, x, t):
          tuple(tuple(m for m, g in enumerate(a.r_bar, start=1) if v in g) for v in vs))
         for vs in copies]
     assert [ms.servers for ms in a.virtual_pattern().message_sets] == list(a.flat_groups)
+
+
+def reference_augment(pattern, x, t, cap):
+    """Augmentation with every table built up front: the virtual servers
+    (n, i) in order, and per set its (n, i) members and copy counts."""
+    tau = cap.tau
+    virtual = tuple((n, i) for n in range(1, pattern.n_servers + 1)
+                    for i in range(1, tau[n - 1] + 1))
+    r_bar, delta = [], []
+    for m in range(1, pattern.m_count + 1):
+        group = pattern.servers_of(m)
+        g = sorted((tau[n - 1] for n in group), reverse=True)[x + t]
+        slots = tuple((n, min(g, tau[n - 1])) for n in group)
+        r_bar.append(tuple((n, i) for n, d in slots for i in range(1, d + 1)))
+        delta.append(slots)
+    return virtual, tuple(r_bar), tuple(delta)
+
+
+def assert_tables_match_reference(pattern, x, t):
+    cap = asymptotic_capacity(pattern, x, t)
+    a = generate_augmented_system(pattern, x, t, cap)
+    virtual, r_bar, delta = reference_augment(pattern, x, t, cap)
+    assert (a.delta, a.r_bar, a.virtual_servers, a.n_virtual) == (
+        delta, r_bar, virtual, len(virtual))
+    assert a.flat_groups == tuple(tuple(virtual.index(vs) + 1 for vs in g) for g in r_bar)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 2), st.integers(0, 2))
+def test_derived_tables_match_eager_augmentation(seed, x, t):
+    pattern = random_pattern(random.Random(seed), n_max=7, m_max=4, x=x, t=t, max_rows=40)
+    assert_tables_match_reference(pattern, x, t)
+
+
+def test_derived_tables_match_eager_augmentation_on_examples():
+    checked = 0
+    for pattern in EXAMPLES + (TRIANGLES,):
+        for x, t in itertools.product(range(3), repeat=2):
+            if min_replication_slack(pattern, x, t) >= 1:
+                assert_tables_match_reference(pattern, x, t)
+                checked += 1
+    assert checked == 34
 
 
 # -- field linear algebra ----------------------------------------------------

@@ -7,21 +7,28 @@ and for UNEVEN_NINE over the field of 2**31 - 1.  The audit command's
 whole stdout is pinned the same way, whatever the audits' kernels, and
 so is the lemmas command's, whatever the lemma checks' arithmetic.  So
 are the whole stdouts of a direct and a merged ``simulate`` and of a
-direct and a merged ``demo``, whatever builds their reports.
+direct and a merged ``demo``, whatever builds their reports, of ``plan``
+on three patterns at x = t = 1, whatever tables the augmented system
+keeps, and of each script under demos/, run as a user runs it.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import TRIANGLES
 from gxstplc.cli import main
 from gxstplc.demos import GRAPH_FOURTEEN, GRAPH_SIX, UNEVEN_NINE, UNEVEN_SEVEN
 from gxstplc.pattern import MessageSet, StoragePattern, save_pattern
 from gxstplc.scheme import AsymmConfig, simulate, simulate_merged
 
-PATTERNS = Path(__file__).resolve().parents[1] / "demos" / "patterns"
+ROOT = Path(__file__).resolve().parents[1]
+PATTERNS = ROOT / "demos" / "patterns"
 
 RUNS = {
     "ex-4.1.1": lambda s: simulate(AsymmConfig(UNEVEN_SEVEN, (0, 0, 0, 0), (1, 2, 1, 2)), s),
@@ -119,3 +126,45 @@ def test_report_stdout_digest(name, capsys):
     assert main(REPORTS[name]) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_REPORTS[name]
+
+
+PINNED_PLANS = {
+    "six_server": "4cc7d155fe024de7eb2ff2d40814ee4ce9dae92149ed5a39663e02d9fe848ec0",
+    "fourteen_server": "15668bffc200908feed03b51a2dfbf815b6faaa3b991ba689932af976fb54e5f",
+    "triangles": "131e601d9f45b74ab686a4640874fb220a7560d1e6b0534113181c13b6b720e8",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PLANS))
+def test_plan_stdout_digest(name, tmp_path, capsys):
+    path = PATTERNS / f"{name}.json"
+    if name == "triangles":
+        path = tmp_path / "triangles.json"
+        save_pattern(TRIANGLES, path)
+    assert main(["plan", "--pattern", str(path), "--x", "1", "--t", "1"]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_PLANS[name]
+
+
+PINNED_DEMO_SCRIPTS = {
+    "01_capacity_program.py": "5662ab6f5f4c511cb2b43585a3a20065b7462a8cdf54b6930475c3241aa9d1da",
+    "02_protocol_round.py": "0c7029bb843b6de0284b8fda2d42f235afa328a1b8a658285d8aa2689dcc9122",
+    "03_augment_and_merge.py": "b034049c7e6677fba46400f05042c2ee2f651d87afbc1220c3419ca488dd0b81",
+    "04_security_audit.py": "312cb4f7ba6ba597b71cc67f22b4d6953860f256b4ce19c312c56ef28a8c42ab",
+    "05_matrix_identities.py": "1da9d4e6b0e92adb66d04406219fb067f1a9f987ee9cee2b34bf71e881b3fb01",
+}
+
+
+def test_every_demo_script_is_pinned():
+    assert sorted(path.name for path in (ROOT / "demos").glob("0*.py")) == sorted(
+        PINNED_DEMO_SCRIPTS)
+
+
+@pytest.mark.parametrize("script", sorted(PINNED_DEMO_SCRIPTS))
+def test_demo_script_stdout_digest(script):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, str(ROOT / "demos" / script)], cwd=ROOT,
+                            capture_output=True, env=dict(os.environ, PYTHONPATH=path),
+                            timeout=120)
+    assert result.returncode == 0, result.stderr.decode()[-2000:]
+    assert hashlib.sha256(result.stdout).hexdigest() == PINNED_DEMO_SCRIPTS[script]
