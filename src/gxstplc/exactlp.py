@@ -12,12 +12,13 @@ optimum.  Nothing is ever rounded: the simplex pivots an int64 tableau M
 over one common positive denominator D (the tableau is T = M / D) and
 keeps the basic values as integer numerators over D; only the final
 vertex becomes fractions.Fraction.  The tableau is condensed: the basic
-columns of M are D times unit vectors, so only the n nonbasic columns
-are stored, one slot each with its reduced cost, and after a pivot the
-leaving variable takes the entering one's slot.  While D and every
-entry are below 2**31, every product is below 2**62 and every
-difference of two below 2**63, so int64 cannot overflow; past that
-bound the arrays hold Python ints.
+columns of M are D times unit vectors, so one (n+1, r+1) array holds
+the n nonbasic columns, one slot each with its reduced cost, and the
+basic numerators as slot n; the leaving variable takes the entering
+one's slot, and the basis and bookkeeping are Python lists.  While D
+and every entry are below 2**31, every product is below 2**62 and
+every difference of two below 2**63, so int64 cannot overflow; past
+that bound the array holds Python ints.
 The solver keeps running upper bounds on the entries and measures them
 only when a bound reaches 2**31, so the switch happens at the first
 pivot whose entries reach it, as if every pivot measured them.
@@ -111,72 +112,76 @@ def simplex_min(lp: LinearProgram) -> LpSolution:
     reduced costs D 1 - C_B M (unit costs on x, none on the surplus)
     extend M by a last row, so pricing is a sign test.  The r basic
     columns of M are D e_i with reduced cost 0, so only the n nonbasic
-    ones are stored, condensed as in Avis's lrs: slot j of the (n, r+1)
-    array ``tableau`` is the column of variable ``nonbasic[j]``, its
-    reduced cost last.  A pivot on (p, e), a = |M[p, e]| with sign sgn,
-    keeps the sign-corrected pivot row sgn M[p] and maps every other
-    entry to (M[i, j] a - M[i, e] sgn M[p, j]) // D, exact because every
-    entry is a minor (Bareiss); when a == D only the slots with
-    M[p, j] != 0 change.  The leaving variable then takes the entering
-    slot, with column -sgn c (c the entering column) and sgn D in row p.
-    By Cramer's rule D x_B is integral: a bound flip adds the entering
-    column to the numerators, a pivot with winning ratio P / a maps them
-    to (num a + delta P) // D, and ratios compare by cross-multiplying.
-    Before each pivot, an entry of M (D included) or num at 2**31 or
-    above turns both into Python ints (dtype object) for the rest of the
-    solve, with the same statements.  The guard reads running upper
-    bounds, not the arrays: a pivot raises the bound on max |M| to
-    bound (a + f) // D, f the largest |entry| of the entering column,
-    and the bound on max |num| to (bound a + f P) // D (a flip adds f
-    to it).  Only a bound at the limit measures the entries; they
-    promote if one is at the limit and otherwise become the new bounds,
-    so the promotion comes at the same pivot as with a full scan of the
-    whole tableau before every pivot.
+    ones are stored, condensed as in Avis's lrs: slot j < n of the
+    (n+1, r+1) array ``tableau`` is the column of variable
+    ``nonbasic[j]``, its reduced cost last, and slot n holds the basic
+    numerators num = D x_B (integral by Cramer's rule) over a cost
+    entry of 0; ``basis``, ``nonbasic`` and the bound signs are Python
+    lists.  A pivot on (p, e), a = |M[p, e]| with sign sgn, keeps the
+    sign-corrected pivot row sgn M[p] and maps every other entry to
+    (M[i, j] a - M[i, e] sgn M[p, j]) // D, exact because every entry
+    is a minor (Bareiss); when a == D only the slots with M[p, j] != 0
+    change.  Slot n takes part with pivot-row entry -s P, for the
+    winning ratio P / a and the entering bound sign s, so num becomes
+    (num a + s P c) // D, c the entering column; its row p then takes
+    the entering value, and a bound flip adds s c to num.  The leaving
+    variable takes the entering slot, with column -sgn c and sgn D in
+    row p.  Ratios compare by cross-multiplying.  Before each pivot, an
+    entry of M (D included) or num at 2**31 or above turns the tableau
+    into Python ints (dtype object) for the rest of the solve, with the
+    same statements.  The guard reads running upper bounds, not the
+    array: a pivot raises the bound on max |M| to bound (a + f) // D,
+    f the largest |entry| of c, and the bound on max |num| to
+    (bound a + f P) // D (a flip adds f to it).  Only a bound at the
+    limit measures the entries; they promote if one is at the limit and
+    otherwise become the new bounds, so the promotion comes at the same
+    pivot as with a full scan of the whole tableau before every pivot.
     """
     n, r = lp.n_vars, len(lp.rows)
     rows = lp.incidence
-    # the surplus start makes B = -I, so the x columns are -A over D = 1, with cost 1
-    tableau = np.ones((n, r + 1), dtype=np.int64)
-    tableau[:, :r] = -rows.T
-    nonbasic = np.arange(n)
-    num = rows.sum(axis=1) - 1  # surplus at x = 1, nonnegative since every row covers
-    basis = np.arange(n, n + r)
-    # per slot, +1 for a variable at its upper bound (only structural j < n have x_j <= 1),
-    # else -1; every x starts there
-    slot_sign = np.ones(n, dtype=np.int64)
+    # the surplus start makes B = -I, so the x columns are -A over D = 1, with cost 1;
+    # slot n holds the surplus at x = 1 (nonnegative since every row covers), cost 0
+    tableau = np.ones((n + 1, r + 1), dtype=np.int64)
+    tableau[:n, :r] = -rows.T
+    tableau[n] = np.append(rows.sum(axis=1), 1) - 1
+    # per slot, +1 at the upper bound (only structural j < n have one), else -1; every x starts so
+    nonbasic, basis, slot_sign = list(range(n)), list(range(n, n + r)), [1] * n
     # upper bounds on max |M| and max |num|, kept up to date by each pivot and flip
-    bound, num_bound = 1, int(num.max(initial=0))
+    bound, num_bound = 1, int(tableau[n].max())
     denom, pivots, bound_flips = 1, 0, 0
 
     while True:
         # Bland's rule: the improving slot whose variable has the smallest index
-        keys = np.where(tableau[:, r] * slot_sign > 0, nonbasic, n + r)
-        slot = int(keys.argmin())
-        entering = int(keys[slot])
+        costs = zip(nonbasic, tableau[:, r].tolist(), slot_sign)
+        entering = min((v for v, c, sg in costs if c * sg > 0), default=n + r)
         if entering == n + r:
             break
 
         # per unit step of the entering variable, basic i moves by s * M[i, e] / D
-        s = int(slot_sign[slot])
+        slot = nonbasic.index(entering)
+        s = slot_sign[slot]
         col = tableau[slot].tolist()
-        fmax = max(map(abs, col))
+        fmax = max(max(col), -min(col))
         # ratio test on Python ints: basic i reaches 0 (or 1) after a step of t / q
         leave_pos, best_t, best_q, best_k = -1, 1, 0, n + r
-        # rows whose entering entry is nonzero; the last is r, the nonzero reduced cost
-        nonzero = [i for i, c in enumerate(col) if c]
-        nums, basics = num.tolist(), basis.tolist()
-        for i in nonzero[:-1]:
-            d, v, k = s * col[i], nums[i], basics[i]
-            if d > 0 and k >= n:
+        nums = tableau[n].tolist()
+        # only the rows whose entering entry is nonzero move
+        for i in itertools.compress(range(r), col):
+            d, k = s * col[i], basis[i]
+            if d < 0:
+                t, q = nums[i], -d
+            elif k < n:
+                t, q = denom - nums[i], d
+            else:
                 continue  # a rising surplus has no upper limit
-            t, q = (v, -d) if d < 0 else (denom - v, d)
-            if t * best_q < best_t * q or (t * best_q == best_t * q and k < best_k):
+            lhs, rhs = t * best_q, best_t * q
+            if lhs < rhs or (lhs == rhs and k < best_k):
                 leave_pos, best_t, best_q, best_k = i, t, q, k
 
         # an entering surplus always meets a limit: the region lies in the unit box
         if entering < n and best_q < best_t:
             # the entering variable swaps bounds without entering the basis
-            num += tableau[slot, :r] * s
+            tableau[n, :r] += tableau[slot, :r] * s
             slot_sign[slot] = -s
             num_bound += fmax
             bound_flips += 1
@@ -184,42 +189,37 @@ def simplex_min(lp: LinearProgram) -> LpSolution:
 
         if tableau.dtype != object and max(bound, num_bound) >= _INT64_LIMIT:
             # the bounds reached the limit: measure the entries, promote only if they did
-            bound = max(int(tableau.max()), -int(tableau.min()), denom)
-            num_bound = int(max(num.max(), -num.min()))
+            bound = max(int(tableau[:n].max()), -int(tableau[:n].min()), denom)
+            num_bound = max(map(abs, nums))
             if max(bound, num_bound) >= _INT64_LIMIT:
-                tableau, num = tableau.astype(object), num.astype(object)
+                tableau = tableau.astype(object)
         a = best_q
         entering_col = tableau[slot].copy()
-        # over the step of best_t / a, basic i moves by moves[i] / (D a)
-        moves = entering_col[:r] * (s * best_t)
         leave_value = best_t if s < 0 else a - best_t
         num_bound = max((num_bound * a + fmax * abs(best_t)) // denom, abs(leave_value))
         sgn = 1 if col[leave_pos] > 0 else -1
-        # the pivot row across the slots; the entering slot is rewritten below
+        # the pivot row across the slots (the entering slot is rewritten below); over the
+        # step best_t / a, basic i moves by s best_t M[i, e] / (D a), hence -s best_t
         prow = tableau[:, leave_pos] * sgn
         prow[slot] = 0
+        prow[n] = -s * best_t
         if a == denom:
             # no rescale: only the slots whose pivot-row entry is nonzero change, yet at
             # these widths one update of the whole array beats gathering them
             update = np.multiply.outer(prow, entering_col)
             if denom != 1:
                 update //= denom
-                moves //= denom
             tableau -= update
-            tableau[:, leave_pos] = prow
-            num += moves
         else:
             # every entry is rescaled
             tableau *= a
             tableau -= np.multiply.outer(prow, entering_col)
             tableau //= denom
-            tableau[:, leave_pos] = prow
-            num *= a
-            num += moves
-            num //= denom
-        num[leave_pos] = leave_value
+        tableau[:, leave_pos] = prow
+        tableau[n, leave_pos] = leave_value
+        tableau[n, r] = 0
         # the leaving variable takes the entering slot: column -sgn c, sgn D in row p
-        tableau[slot] = entering_col * -sgn
+        tableau[slot] = entering_col if sgn < 0 else -entering_col
         tableau[slot, leave_pos] = sgn * denom
         # it stops at 1 if it was rising, at 0 if falling
         slot_sign[slot] = 1 if s * col[leave_pos] > 0 else -1
@@ -230,13 +230,13 @@ def simplex_min(lp: LinearProgram) -> LpSolution:
         pivots += 1
 
     # only structural variables have an upper bound to sit at
-    values = np.zeros(n, dtype=tableau.dtype)
-    values[nonbasic[slot_sign > 0]] = denom
-    values[basis[basis < n]] = num[basis < n]
-    _check_feasible(values, denom, rows)
-    vertex = tuple(Fraction(int(v), denom) for v in values)
-    return LpSolution(optimum=Fraction(int(values.sum()), denom), vertex=vertex,
-                      basis=tuple(sorted(basis.tolist())), pivots=pivots, bound_flips=bound_flips)
+    value = dict(zip(basis, tableau[n].tolist()))
+    value.update((v, denom) for v, sg in zip(nonbasic, slot_sign) if sg > 0)
+    values = [value.get(j, 0) for j in range(n)]
+    _check_feasible(np.array(values, dtype=tableau.dtype), denom, rows)
+    return LpSolution(optimum=Fraction(sum(values), denom),
+                      vertex=tuple(Fraction(v, denom) for v in values),
+                      basis=tuple(sorted(basis)), pivots=pivots, bound_flips=bound_flips)
 
 
 def _check_feasible(numerators: np.ndarray, denom: int, rows: np.ndarray) -> None:

@@ -15,7 +15,8 @@ gxstplc.exactlp.simplex_min: both take the same Bland pivots, so they
 must return the same optimum, vertex, basis and pivot and bound-flip
 counts, on the int64 tableau and after it turns into Python ints, and
 each slot of the condensed tableau must end as |det B| times the dense
-tableau's column of its nonbasic variable, reduced cost included.
+tableau's column of its nonbasic variable, reduced cost included, and
+the numerator slot as |det B| times the basic values, cost entry 0.
 
 The capacity bookkeeping in Fractions (optimum summed entry by entry,
 L the lcm of the denominators, tau = L * vertex, capacity 1 / optimum)
@@ -44,12 +45,15 @@ rule the audit decides by: a leak always first shows at the all-zero
 observation, and counts are never uneven.
 """
 
+import ast
 import contextlib
 import dataclasses
+import inspect
 import itertools
 import math
 import random
 import sys
+import textwrap
 from fractions import Fraction
 from math import comb, prod
 
@@ -328,14 +332,15 @@ def test_reconstruct_matches_reference_decode(case):
                                                           params.f.tolist(), q)
 
 
-def reference_simplex(lp: LinearProgram) -> tuple[LpSolution, list[Fraction],
-                                                  tuple[dict[int, list[Fraction]], Fraction]]:
+def reference_simplex(lp: LinearProgram) -> tuple[
+        LpSolution, list[Fraction], tuple[dict[int, list[Fraction]], Fraction, list[Fraction]]]:
     """Bland's rule on a dense Fraction tableau from the all-at-upper start,
     minimizing sum(x).
 
     Also returns, for each pivot, |det B| * T[p][e]: the integer pivot the
-    fraction-free tableau meets there; and |det B| with |det B| times the
-    final tableau's nonbasic columns, {variable: column, reduced cost last}.
+    fraction-free tableau meets there; and |det B| times the final
+    tableau's nonbasic columns, {variable: column, reduced cost last},
+    |det B| itself, and |det B| times the basic values in row order.
     """
     n = lp.n_vars
     rows = lp.rows
@@ -431,7 +436,7 @@ def reference_simplex(lp: LinearProgram) -> tuple[LpSolution, list[Fraction],
     scaled = {j: [det * tableau[i][j] for i in range(r)]
               + [det * (cost_full[j] - sum(cost_full[basis[i]] * tableau[i][j] for i in range(r)))]
               for j in range(total) if not in_basis[j]}
-    return solution, integer_pivots, (scaled, det)
+    return solution, integer_pivots, (scaled, det, [det * b for b in beta])
 
 
 def assert_same_pivot_path(lp: LinearProgram) -> list[Fraction]:
@@ -497,15 +502,19 @@ def final_tableau_kinds():
 
 
 def condensed_columns(f):
-    """simplex_min's final tableau as {nonbasic variable: slot}, and D."""
-    slots = {int(v): [int(e) for e in slot] for v, slot in zip(f["nonbasic"], f["tableau"])}
-    return slots, f["denom"]
+    """simplex_min's final tableau as {nonbasic variable: slot}, D, and the
+    numerator slot n that follows the nonbasic slots."""
+    tableau, n = f["tableau"], len(f["nonbasic"])
+    slots = {int(v): [int(e) for e in slot] for v, slot in zip(f["nonbasic"], tableau[:n])}
+    return slots, f["denom"], [int(e) for e in tableau[n]]
 
 
 def assert_condensed_tableaus_match(lps):
     # each slot ends as D times the reference's column of its variable, reduced cost
-    # last, on int64 and with the limit at 1 (Python ints from the first pivot on)
-    expected = [reference_simplex(lp)[2] for lp in lps]
+    # last, and the numerator slot as D times the basic values over a cost entry of 0,
+    # on int64 and with the limit at 1 (Python ints from the first pivot on)
+    expected = [(scaled, det, numerators + [0])
+                for scaled, det, numerators in (reference_simplex(lp)[2] for lp in lps)]
     for limit in (exactlp._INT64_LIMIT, 1):
         with pytest.MonkeyPatch.context() as mp, simplex_returns(condensed_columns) as finals:
             mp.setattr(exactlp, "_INT64_LIMIT", limit)
@@ -563,6 +572,65 @@ def test_surplus_numerators_reach_a_small_limit_first():
         assert kinds == ["O"], limit
 
 
+def loop_head_line() -> int:
+    """The line of the first statement in simplex_min's pivot loop."""
+    lines, start = inspect.getsourcelines(simplex_min)
+    loop = next(node for node in ast.walk(ast.parse(textwrap.dedent("".join(lines))))
+                if isinstance(node, ast.While))
+    return start + loop.body[0].lineno - 1
+
+
+@contextlib.contextmanager
+def loop_heads(read):
+    """Collects read(f_locals) each time a simplex_min call starts a pass of its loop."""
+    seen, head = [], loop_head_line()
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno == head:
+            seen.append(read(frame.f_locals))
+        return local
+
+    def spy(frame, event, arg):
+        return local if frame.f_code is simplex_min.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(spy)
+    try:
+        yield seen
+    finally:
+        sys.settrace(previous)
+
+
+def guard_gaps(f):
+    """How far each running bound lies above what it bounds: max(|slots 0..n-1|, D)
+    for ``bound``, max |slot n| for ``num_bound``; negative once a bound falls behind."""
+    tableau, n = f["tableau"], len(f["nonbasic"])
+    entries = max(int(np.abs(tableau[:n]).max()), f["denom"])
+    return f["bound"] - entries, f["num_bound"] - int(np.abs(tableau[n]).max())
+
+
+def assert_guard_bounds_hold(lps):
+    # at the int64 limit the bounds only grow; at small limits a measurement that does
+    # not promote resets them to the true maxima, and later pivots and flips must
+    # raise them again before the entries grow past them
+    for limit in (exactlp._INT64_LIMIT, 2, 3, 5, 9, 17, 33, 1024):
+        with pytest.MonkeyPatch.context() as mp, loop_heads(guard_gaps) as gaps:
+            mp.setattr(exactlp, "_INT64_LIMIT", limit)
+            for lp in lps:
+                simplex_min(lp)
+        assert gaps and min(map(min, gaps)) >= 0, limit
+
+
+@settings(max_examples=100, deadline=None)
+@given(covering_lps())
+def test_guard_bounds_hold_at_every_loop_head(lp):
+    assert_guard_bounds_hold([lp])
+
+
+def test_guard_bounds_hold_at_every_loop_head_on_example_patterns():
+    assert_guard_bounds_hold(list(example_programs()))
+
+
 @settings(max_examples=100, deadline=None)
 @given(covering_lps())
 def test_promoted_tableau_matches_fraction_reference(lp):
@@ -584,6 +652,24 @@ def test_simplex_matches_fraction_reference_on_larger_programs():
         integer_pivots += assert_same_pivot_path(lp)
         solved += 1
     # the exact division (|a| > 1 leaves D > 1) and the negation (a < 0) both run
+    assert any(abs(a) > 1 for a in integer_pivots)
+    assert any(a < 0 for a in integer_pivots)
+
+
+def test_simplex_matches_fraction_reference_on_ladder_shaped_programs():
+    # shaped like the benchmark's fixed capacity programs: 16-20 servers, five to
+    # eight groups of 4-7, x = t = 1, so 55-110 covering rows of two servers fewer
+    rng = random.Random(5)
+    shapes, integer_pivots = [], []
+    while len(shapes) < 5:
+        n = rng.randint(16, 20)
+        sets = tuple(MessageSet(tuple(sorted(rng.sample(range(1, n + 1), rng.randint(4, 7)))),
+                                rng.randint(1, 2)) for _ in range(rng.randint(5, 8)))
+        lp = build_capacity_lp(StoragePattern(n, sets), 1, 1)
+        if 55 <= len(lp.rows) <= 110:
+            integer_pivots += assert_same_pivot_path(lp)
+            shapes.append((lp.n_vars, len(lp.rows)))
+    assert min(shapes) >= (16, 55)
     assert any(abs(a) > 1 for a in integer_pivots)
     assert any(a < 0 for a in integer_pivots)
 
