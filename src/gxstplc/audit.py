@@ -10,8 +10,10 @@ points, and their query rows at slot l are that block with each row
 scaled by a - f_l, whose rank counts the distinct points other than
 f_l.  So a sweep checks each group once: when its points are distinct
 and (for queries) avoid every f point, every subset up to the threshold
-passes, and subsets are walked only for a group that fails the check,
-to name its violations.  The exhaustive audit is the slow ground truth:
+passes.  Only a set that fails the check walks the subsets of its
+holders (the servers with copies of it), to name its violations; a
+collusion sees a set only through its holders, so this is exact at any
+scale.  The exhaustive audit is the slow ground truth:
 it reads the colluders' observations off the protocol itself, probing
 encode_storage and generate_queries in one batched call each, on a
 stack of the zero vector and every unit vector of the secret and noise
@@ -27,7 +29,6 @@ cancels its prefix.
 from __future__ import annotations
 
 import itertools
-import random
 from collections.abc import Collection
 from dataclasses import dataclass
 from math import comb, prod
@@ -48,7 +49,9 @@ from .scheme import (
 )
 
 _EXHAUSTIVE_CELL_CAP = 10**7
-_MERGED_FULL_WALK_CAP = 5000   # most original subsets the merged audit walks before sampling
+# the merged audit's reported count: every original subset up to the
+# cap, past it _SAMPLE_SIZE per side; the verdict covers all of them
+_MERGED_FULL_WALK_CAP = 5000
 _SAMPLE_SIZE = 500
 _CELL_BLOCK = 1 << 12    # assignments enumerated at a time
 
@@ -62,6 +65,9 @@ class Violation:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """checked_subsets and sampled are the benchmark's reported count (see
+    merged_scheme_audit); the verdict covers every subset at every size."""
+
     mode: str
     checked_subsets: int
     violations: tuple[Violation, ...]
@@ -72,14 +78,7 @@ class AuditReport:
 
 def _report(mode: str, checked: int, violations: list[Violation],
             sampled: bool = False, notes: tuple[str, ...] = ()) -> AuditReport:
-    return AuditReport(
-        mode=mode,
-        checked_subsets=checked,
-        violations=tuple(violations),
-        passed=not violations,
-        sampled=sampled,
-        notes=notes,
-    )
+    return AuditReport(mode, checked, tuple(violations), not violations, sampled, notes)
 
 
 @dataclass(frozen=True)
@@ -132,6 +131,20 @@ def _verdict(spec: _Side, depth: int, points: Collection[int],
         if rank != s:
             return f"{spec.name} noise covers rank {rank} of {s} {spec.shortfall.format(l=l)}"
     return None
+
+
+def _walk(spec: _Side, limit: int, bar: int, holders: list[tuple[int, list[int]]],
+          f: Collection[int]) -> list[tuple[tuple[int, ...], str]]:
+    """(subset, why) for every subset of at most limit holders of one set
+    that breaks it on this side, threshold bar; each holder comes with
+    the points of its copies of the set."""
+    found = []
+    for size in range(1, limit + 1):
+        for chosen in itertools.combinations(holders, size):
+            detail = _verdict(spec, bar, [p for _, at in chosen for p in at], f)
+            if detail is not None:
+                found.append((tuple(n for n, _ in chosen), detail))
+    return found
 
 
 def _check_params(params: SchemeParams, groups: tuple[tuple[int, ...], ...],
@@ -293,7 +306,8 @@ def asymm_scheme_audit(config: AsymmConfig, params: SchemeParams) -> AuditReport
     side's certificate; smaller subsets see submatrices of these.  A
     group whose points are distinct and (for queries) avoid every f
     point passes all of them at once; the subsets of any other group are
-    walked to name the violations.
+    walked to name the violations.  checked_subsets counts every subset
+    of every group up to its thresholds.
     """
     _check_config(config, params)
     points, f = params.alpha.tolist(), params.f.tolist()
@@ -309,11 +323,8 @@ def asymm_scheme_audit(config: AsymmConfig, params: SchemeParams) -> AuditReport
             checked += sum(comb(len(group), size) for size in range(1, depth + 1))
             if spec.clear([points[n - 1] for n in group], f):
                 continue
-            for size in range(1, depth + 1):
-                for subset in itertools.combinations(group, size):
-                    detail = _verdict(spec, depth, [points[n - 1] for n in subset], f)
-                    if detail is not None:
-                        violations.append(Violation(subset, m, f"{spec.name}: {detail}"))
+            violations += [Violation(subset, m, f"{spec.name}: {why}") for subset, why
+                           in _walk(spec, depth, depth, [(n, [points[n - 1]]) for n in group], f)]
     return _report("rank_certificate", checked, violations, notes=tuple(notes))
 
 
@@ -324,37 +335,25 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
     A colluding original server exposes all of its virtual copies, so
     each subset of originals maps to a virtual subset whose per-set
     exposure must stay within the inflated thresholds x*gamma_m and
-    t*gamma_m; the rank certificates then run on the virtual scheme, for
-    the sets holding at least one exposed copy (the others see nothing).
-    A side passes as a whole when, for every set m, the x (or t) largest
-    copy counts among m's holders sum to at most m's inflated threshold
-    and m's virtual points are clear (distinct, and off every f point
-    for queries).  Only a side that fails this check walks its original
-    subsets, to name the violations: every subset of up to x (or t)
-    originals on small systems, a deterministic sample on larger ones.
-    The report counts and flags the subsets that walk covers either way.
-    x and t must be the thresholds the system was built for; the
-    inflated thresholds are read off the system.
+    t*gamma_m; the rank certificates then run on the virtual scheme.
+    Set m passes a side when the x (or t) largest copy counts among its
+    holders sum to at most its inflated threshold and its virtual points
+    are clear (distinct, and off every f point for queries).  Only a set
+    that fails this check walks the subsets of up to x (or t) of its
+    holders, to name the violations, sorted per side by subset size,
+    subset and set.  Colluders see m only through the holders among
+    them, so the verdict is exact at every N.  checked_subsets counts
+    the original subsets up to x and t, or _SAMPLE_SIZE per side past
+    _MERGED_FULL_WALK_CAP of them, with sampled set: the benchmark's
+    reported count, not a walk.  x and t must be the thresholds the
+    system was built for; the inflated thresholds are read off the system.
     """
     if (x, t) != (a.x, a.t):
         raise DimensionMismatch(f"system built for x={a.x}, t={a.t}, audited at x={x}, t={t}")
     _check_params(params, a.flat_groups, a.l_value, a.n_virtual)
 
-    n = a.n_original
-    total = sum(comb(n, size) for size in range(1, x + 1))
-    total += sum(comb(n, size) for size in range(1, t + 1))
-    sampled = total > _MERGED_FULL_WALK_CAP
-
-    def original_subsets(limit: int):
-        if not sampled:
-            for size in range(1, limit + 1):
-                yield from itertools.combinations(range(1, n + 1), size)
-            return
-        rng = random.Random(0xA0D17)
-        for _ in range(_SAMPLE_SIZE):
-            size = rng.randint(1, limit)
-            yield tuple(sorted(rng.sample(range(1, n + 1), size)))
-
+    subsets = [sum(comb(a.n_original, size) for size in range(1, limit + 1)) for limit in (x, t)]
+    sampled = sum(subsets) > _MERGED_FULL_WALK_CAP
     points, f = params.alpha.tolist(), params.f.tolist()
     # each set's copy counts, largest first, and virtual points, shared by both sides
     counts = [sorted((d for _, d in slots), reverse=True) for slots in a.delta]
@@ -362,19 +361,20 @@ def merged_scheme_audit(a: AugmentedSystem, params: SchemeParams,
     violations: list[Violation] = []
     notes: list[str] = []
     checked = 0
-    for spec, limit, bars in zip(_SIDES.values(), (x, t), (a.x_bar, a.t_bar)):
+    for spec, limit, bars, size in zip(_SIDES.values(), (x, t), (a.x_bar, a.t_bar), subsets):
         if limit == 0:
             notes.append(spec.merged_note)
             continue
-        checked += _SAMPLE_SIZE if sampled else sum(comb(n, size) for size in range(1, limit + 1))
-        if all(sum(largest[:limit]) <= bar and spec.clear(at, f)
-               for largest, bar, at in zip(counts, bars, group_points)):
-            continue
-        for originals in original_subsets(limit):
-            exposed = a.exposed(originals)
-            for m, (group, bar) in enumerate(zip(params.groups, bars), start=1):
-                hit = [points[v - 1] for v in exposed if v in group]
-                detail = _verdict(spec, bar, hit, f) if hit else None
-                if detail is not None:
-                    violations.append(Violation(originals, m, f"{spec.name}: {detail}"))
+        checked += _SAMPLE_SIZE if sampled else size
+        found: list[Violation] = []
+        for m, (largest, bar, at, slots) in enumerate(
+                zip(counts, bars, group_points, a.delta), start=1):
+            if sum(largest[:limit]) <= bar and spec.clear(at, f):
+                continue
+            # each holder's copies sit next to each other in the set's group
+            ends = itertools.accumulate(d for _, d in slots)
+            holders = [(n, at[end - d:end]) for (n, d), end in zip(slots, ends) if d]
+            found += [Violation(subset, m, f"{spec.name}: {why}")
+                      for subset, why in _walk(spec, limit, bar, holders, f)]
+        violations += sorted(found, key=lambda v: (len(v.subset), v.subset, v.message_set))
     return _report("rank_certificate", checked, violations, sampled=sampled, notes=tuple(notes))

@@ -354,6 +354,28 @@ class TestMergedAudit:
         assert report.passed
         assert report.checked_subsets == 1000
 
+    @pytest.mark.parametrize("servers, x, t, storage, query", [
+        ((1, 2, 3), 2, 0, [(1, 2), (1, 3), (2, 3)], []),
+        ((1, 2, 3), 0, 2, [], [(1, 2), (1, 3), (2, 3)]),
+        ((50, 77, 101), 2, 0, [(50, 77), (50, 101), (77, 101)], []),
+        ((1, 2, 3, 4), 2, 1, list(itertools.combinations((1, 2, 3, 4), 2)),
+         [(1,), (2,), (3,), (4,)]),
+    ])
+    def test_wide_lowered_audit_names_every_failing_holder_subset(
+            self, servers, x, t, storage, query):
+        # past the sampling cap the count stays a sample's, but the verdict
+        # walks the set's holders: every breaking subset is named once
+        p = StoragePattern(102, (MessageSet(servers),))
+        aug, _, params = merged_setup(p, x, t)
+        lowered = dataclasses.replace(aug, x_bar=tuple(v - 1 for v in aug.x_bar),
+                                      t_bar=tuple(v - 1 for v in aug.t_bar))
+        report = merged_scheme_audit(lowered, params, x, t)
+        assert (report.passed, report.sampled) == (False, True)
+        assert report.checked_subsets == 500 * ((x > 0) + (t > 0))
+        found = [(v.subset, v.message_set, v.detail.split(":")[0]) for v in report.violations]
+        assert found == ([(s, 1, "storage") for s in storage]
+                         + [(s, 1, "query") for s in query])
+
     def test_message_counts_cannot_change_the_audit(self):
         # the audit sets up the virtual system with one message per set,
         # simulate_merged with the pattern's counts: both give one scheme

@@ -29,6 +29,7 @@ from gxstplc.pattern import MessageSet, StoragePattern, save_pattern
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gxstplc"
 TRIANGLE = StoragePattern(3, (MessageSet((1, 2, 3)),))
+WIDE = StoragePattern(102, (MessageSet((1, 2, 3)),))
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,13 @@ MUTANTS = (
            "alpha=_frozen(np.arange(1, n + 1, dtype=np.int64)),",
            "alpha=_frozen(np.minimum(np.arange(1, n + 1, dtype=np.int64), n - 1)),",
            ("audit", "--x", "2", "--t", "0"), "certificates"),
+    # storage thresholds inflated to x * gamma_m - 1: two of the three
+    # holders of a set on a 102-server pattern break it, and the merged
+    # audit must find them past its 5000-subset count cap
+    Mutant("under-inflated-x-bar", "augment.py",
+           "x_bar=tuple(x * g for g in gamma)",
+           "x_bar=tuple(x * g - 1 for g in gamma)",
+           ("audit", "--x", "2", "--t", "0"), "certificates", WIDE),
     # the alignment identity's right side without its minus sign: the lemma
     # checks fail, the Cauchy-Vandermonde factorization with them
     Mutant("alignment-sign", "scheme.py",

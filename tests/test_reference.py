@@ -34,15 +34,18 @@ subset and one set at a time (the rank certificate per subset, the
 exhaustive enumeration by itertools.product into a dict of counts)
 check the closed-form sweeps and the zero-observation enumeration of
 gxstplc.audit: every report must be equal, counts, violations in order
-with their details, and notes.  The merged audit must also equal the
-whole-side check that rebuilds the virtual configuration and asks
-_Side.clear about each group's points, and _Side.clear must hold exactly
-when every closed-form rank is full.  The enumeration's observed forms are
-built from the scheme's formulas (reference_forms), and the forms that
-gxstplc.audit probes from the encoder and the query generator must
-equal them.  On raw random forms the dict of counts also checks the
-rule the audit decides by: a leak always first shows at the all-zero
-observation, and counts are never uneven.
+with their details, and notes.  The merged audit is written over every
+original subset at every N: the product must match its verdict, count
+and notes, and list exactly its violations by subsets of one set's
+holders.  That walk must also equal the whole-side check that rebuilds
+the virtual configuration and asks _Side.clear about each group's
+points, and _Side.clear must hold exactly when every closed-form rank
+is full.  The enumeration's observed forms are built from the scheme's
+formulas (reference_forms), and the forms that gxstplc.audit probes
+from the encoder and the query generator must equal them.  On raw
+random forms the dict of counts also checks the rule the audit decides
+by: a leak always first shows at the all-zero observation, and counts
+are never uneven.
 """
 
 import ast
@@ -916,36 +919,29 @@ def reference_asymm_audit(config, params):
 
 
 def reference_merged_audit(a, params, x, t):
+    """Every subset of up to x (or t) original servers, each on every set
+    its copies touch.  The count is the one the product reports: the
+    subsets walked, or 500 per side once more than 5000 are walked."""
     config = virtual_config(a)
     n = a.n_original
-    total = sum(comb(n, size) for size in range(1, x + 1))
-    total += sum(comb(n, size) for size in range(1, t + 1))
-    sampled = total > 5000
-
-    def original_subsets(limit):
-        if not sampled:
-            for size in range(1, limit + 1):
-                yield from itertools.combinations(range(1, n + 1), size)
-            return
-        rng = random.Random(0xA0D17)
-        for _ in range(500):
-            size = rng.randint(1, limit)
-            yield tuple(sorted(rng.sample(range(1, n + 1), size)))
-
+    violations, notes, walked = [], [], []
     touched = [{m for m, slots in enumerate(a.delta, start=1) if dict(slots).get(o)}
                for o in range(n + 1)]
-    violations, notes, checked = [], [], 0
     for side, limit in (("storage", x), ("query", t)):
         if limit == 0:
             notes.append(MERGED_NOTE[side])
             continue
-        for originals in original_subsets(limit):
-            checked += 1
+        walked.append(0)
+        for originals in itertools.chain.from_iterable(
+                itertools.combinations(range(1, n + 1), size) for size in range(1, limit + 1)):
+            walked[-1] += 1
             virtual_subset = a.exposed(originals)
             for m in sorted(set().union(*(touched[o] for o in originals))):
                 detail = reference_violation(config, params, virtual_subset, m, side)
                 if detail is not None:
                     violations.append(Violation(originals, m, f"{side}: {detail}"))
+    sampled = sum(walked) > 5000
+    checked = 500 * len(walked) if sampled else sum(walked)
     return reference_report("rank_certificate", checked, violations, sampled, notes)
 
 
@@ -981,10 +977,21 @@ def assert_sweeps_match(config, params):
     assert asymm_scheme_audit(config, params) == reference_asymm_audit(config, params)
 
 
+def within_holders(a, violations):
+    """The violations whose subset lies within its set's holders, the
+    original servers with at least one copy of the set."""
+    holders = [{n for n, d in slots if d} for slots in a.delta]
+    return tuple(v for v in violations if set(v.subset) <= holders[v.message_set - 1])
+
+
 def assert_merged_matches(aug, params, x, t):
+    """The product's report equals the oracles' in all but its violations,
+    and those are the oracles' violations by subsets of one set's holders,
+    in the oracles' order; the verdicts agree."""
     report = merged_scheme_audit(aug, params, x, t)
-    assert report == reference_merged_audit(aug, params, x, t) == reference_merged_shortcut(
-        aug, params, x, t)
+    walked = reference_merged_audit(aug, params, x, t)
+    assert walked == reference_merged_shortcut(aug, params, x, t)
+    assert report == dataclasses.replace(walked, violations=within_holders(aug, walked.violations))
     return report
 
 
@@ -1070,7 +1077,8 @@ def test_failing_sweeps_match_reference():
         collide = with_alpha(params, {3: params.alpha[2], 9: params.f[0]})
         assert not assert_merged_matches(aug, collide, x, t).passed
 
-    # the sampled path reports failures in sample order
+    # past the 5000-subset count cap every original subset is still
+    # judged, and the failing holder subsets are the oracle's walk
     wide = StoragePattern(102, (MessageSet(tuple(range(1, 6))),))
     aug, params = merged_system(wide, 2, 2)
     lowered = dataclasses.replace(aug, x_bar=tuple(v - 1 for v in aug.x_bar),
