@@ -37,12 +37,12 @@ import numpy as np
 
 from .augment import AugmentedSystem
 from .errors import DimensionMismatch, ScaleExceeded
+from .ff import _reduce
 from .scheme import (
     AsymmConfig,
     CoefficientBank,
     MessageBank,
     SchemeParams,
-    _reduce,
     _shapes,
     encode_storage,
     generate_queries,

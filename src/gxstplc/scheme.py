@@ -32,14 +32,18 @@ rows in the order of servers_of(m).  encode_storage and
 generate_queries also take banks and noise with the same optional
 leading batch axes, [..., K_m, L] and [..., depth_m, L, K_m], and
 return blocks [..., |R_m|, L, K_m]: one call runs a stack of rounds.
-An intermediate value is at most two products of residues plus a
-residue (or a sum of residues), below 2^63 for any q below
-``ff.MAX_MODULUS``, so nothing overflows.  Every
-array is reduced by ``_reduce``, an in-place floor division
-(a -= a // q * q): numpy's integer remainder has no vectorised path and
-takes about twice as long.  FieldElements appear only in the transcript
-and in ``expected_combination``; the lemma checks take and return plain
-integers.
+The blocks are computed as [..., |R_m|, K_m, L], with the long L axis
+innermost, and returned as transposed views.
+
+Every input enters reduced (the sampler, ``_to_residues``, ``setup``),
+so every bound starts at q - 1.  The Horner masks, the blocks, the
+answer and decoding sums and the tables then keep a bound on their
+entries and are reduced (``ff._reduce``, an in-place floor division:
+numpy's integer remainder takes about twice as long) only where
+``ff._fit`` finds that the next product or sum could pass int64; every
+public function still returns fully reduced residues.  FieldElements
+appear only in the transcript and in ``expected_combination``; the
+lemma checks take and return plain integers.
 """
 
 from __future__ import annotations
@@ -63,7 +67,8 @@ from .errors import (
     FieldTooSmall,
     InvariantViolation,
 )
-from .ff import FieldElement, PrimeField, check_modulus, smallest_prime_at_least
+from .ff import (_INT64_MAX, FieldElement, PrimeField, _fit, _inverse, _product, _reduce,
+                 check_modulus, smallest_prime_at_least)
 from .pattern import StoragePattern
 
 
@@ -168,45 +173,6 @@ class _Residues:
 def _rows(group: tuple[int, ...]) -> np.ndarray:
     """0-based positions of a replication group's servers (read-only, cached)."""
     return _frozen(np.asarray(group) - 1)
-
-
-def _reduce(a: np.ndarray, q: int) -> np.ndarray:
-    """Reduce an int64 or uint64 array mod q in place and return it.
-
-    Floor division puts negative entries in [0, q), as % does.  r * q
-    may wrap below the int64 range, but a - r * q lies in [0, q), so the
-    wrapped arithmetic still gives it exactly.
-    """
-    r = a // q
-    r *= q
-    a -= r
-    return a
-
-
-def _product(factors: np.ndarray, q: int) -> np.ndarray:
-    """Product mod q along the last axis, in log2(width) halving steps."""
-    while (width := factors.shape[-1]) > 1:
-        half = width // 2
-        head = _reduce(factors[..., :half] * factors[..., half:2 * half], q)
-        if width % 2:
-            head[..., 0] = _reduce(head[..., 0] * factors[..., -1], q)
-        factors = head
-    return factors[..., 0]
-
-
-def _inverse(a: np.ndarray, q: int) -> np.ndarray:
-    """Elementwise a^(q-2) mod q (Fermat), by square and multiply."""
-    out = np.ones_like(a)
-    base = _reduce(a.copy(), q)
-    e = q - 2
-    while e:
-        if e & 1:
-            out *= base
-            _reduce(out, q)
-        base *= base
-        _reduce(base, q)
-        e >>= 1
-    return out
 
 
 def _dual_weights(points: np.ndarray, q: int) -> np.ndarray:
@@ -422,19 +388,25 @@ def _noise(config: AsymmConfig, params: SchemeParams, depths: tuple[int, ...],
     return _checked(_to_residues(noise, params.field.q), shapes, "noise")
 
 
-def _mask(points: np.ndarray, noise: np.ndarray, q: int) -> np.ndarray:
-    """sum_d point^d * noise[..., d] mod q by Horner, one row per server.
+def _mask(points: np.ndarray, noise: np.ndarray, q: int, limit: int) -> np.ndarray:
+    """sum_d point^d * noise[..., d] by Horner, one row per server, with
+    entries at most limit (q - 1 or more).
 
-    points is [R] and noise [..., depth, L, K]; the result is
-    [..., R, L, K], zero at depth 0.
+    points is [R], any integers (reduced here), and noise [..., depth, K, L]
+    residues; the result is [..., R, K, L], zero at depth 0.  A Horner step
+    reduces the sum so far only when its multiply-add could pass int64,
+    and the sum is reduced at the end only if it could pass limit.
     """
+    top = q - 1
     acc = np.empty(noise.shape[:-3] + (len(points),) + noise.shape[-2:], dtype=np.int64)
     acc[:] = noise[..., -1, None, :, :] if noise.shape[-3] else 0
+    points, bound = (points % q)[:, None, None], top
     for d in range(noise.shape[-3] - 2, -1, -1):
-        acc *= points[:, None, None]
+        acc, bound = _fit(acc, bound, q, _INT64_MAX // top - 1)
+        acc *= points
         acc += noise[..., d, None, :, :]
-        _reduce(acc, q)
-    return acc
+        bound = bound * top + top
+    return _fit(acc, bound, q, limit)[0]
 
 
 def encode_storage(config: AsymmConfig, params: SchemeParams,
@@ -444,18 +416,19 @@ def encode_storage(config: AsymmConfig, params: SchemeParams,
 
     Banks [..., K_m, L] with leading batch axes give blocks
     [..., |R_m|, L, K_m]; noise, explicit or drawn, carries the same axes.
+    The blocks are computed as [..., |R_m|, K_m, L], so that L, the long
+    axis, runs innermost, and returned as transposed views.
     """
-    q = params.field.q
+    q, top = params.field.q, params.field.q - 1
     batch = messages.values[0].shape[:-2] if messages.values else ()
     _checked(messages.values, _shapes(config, params.l_value, batch=batch), "message bank")
     noise = _noise(config, params, config.x_vec, rng_seed, noise, batch)
     blocks = []
     for group, w, z in zip(params.groups, messages.values, noise):
         rows = _rows(group)
-        block = _mask(params.alpha[rows], z, q)
-        block += params.cauchy[rows][:, :, None] * w.swapaxes(-1, -2)[..., None, :, :]
-        _reduce(block, q)
-        blocks.append(_frozen(block))
+        block = params.cauchy[rows][:, None, :] * w[..., None, :, :]
+        block += _mask(params.alpha[rows], z.swapaxes(-1, -2), q, _INT64_MAX - top * top)
+        blocks.append(_frozen(_reduce(block, q)).swapaxes(-1, -2))
     return ShareBank(blocks=tuple(blocks), noise=noise)
 
 
@@ -464,21 +437,19 @@ def generate_queries(config: AsymmConfig, params: SchemeParams,
                      noise: Sequence[np.ndarray] | None = None) -> QueryBank:
     """Produce every server's query, masking the coefficients t-deep.
 
-    Batch axes work as in encode_storage.
+    Batch axes and the block layout work as in encode_storage.
     """
-    q = params.field.q
+    q, top = params.field.q, params.field.q - 1
     batch = coeffs.values[0].shape[:-2] if coeffs.values else ()
     _checked(coeffs.values, _shapes(config, params.l_value, batch=batch), "coefficient bank")
     noise = _noise(config, params, config.t_vec, rng_seed, noise, batch)
     blocks = []
     for group, u, lam, z in zip(params.groups, params.u, coeffs.values, noise):
         rows = _rows(group)
-        a = params.alpha[rows]
-        block = _mask(a, z, q)
-        block *= params.diff[rows][:, :, None]
-        block += (u[:, None] * lam.swapaxes(-1, -2))[..., None, :, :]
-        _reduce(block, q)
-        blocks.append(_frozen(block))
+        block = _mask(params.alpha[rows], z.swapaxes(-1, -2), q, (_INT64_MAX - top * top) // top)
+        block *= params.diff[rows][:, None, :]
+        block += (u * lam)[..., None, :, :]
+        blocks.append(_frozen(_reduce(block, q)).swapaxes(-1, -2))
     return QueryBank(blocks=tuple(blocks), noise=noise)
 
 
@@ -490,10 +461,16 @@ def collect_answers(config: AsymmConfig, params: SchemeParams,
     shapes = _shapes(config, params.l_value, config.pattern.replication_factors)
     _checked(shares.blocks, shapes, "share blocks")
     _checked(queries.blocks, shapes, "query blocks")
-    total = np.zeros(config.n_servers, dtype=np.int64)
+    top = q - 1
+    total, bound = np.zeros(config.n_servers, dtype=np.int64), 0
     for group, v, share, query in zip(params.groups, params.v, shares.blocks, queries.blocks):
-        dots = _reduce(_reduce(share * query, q).sum(axis=(1, 2)), q)
-        total[_rows(group)] += _reduce(v * dots, q)
+        terms = share[0].size
+        products, each = _fit(share * query, top * top, q, _INT64_MAX // terms)
+        # v * dots stays within half of int64, so a reduced total has room for it
+        dots, each = _fit(products.sum(axis=(1, 2)), each * terms, q, _INT64_MAX // 2 // top)
+        total, bound = _fit(total, bound, q, _INT64_MAX - each * top)
+        total[_rows(group)] += v * dots
+        bound += each * top
     return tuple(map(params.field, _reduce(total, q).tolist()))
 
 
@@ -514,9 +491,11 @@ def reconstruct(answers: Sequence[FieldElement],
     if len(answers) != len(params.alpha):
         raise DimensionMismatch("need exactly one answer per server")
     q = params.field.q
-    scaled = np.array([a.value for a in answers], dtype=np.int64)
-    scaled = _reduce(scaled * _product(params.diff, q), q)
-    sums = _reduce(_reduce(scaled[:, None] * params.cauchy, q).sum(axis=0), q)
+    top, n = q - 1, len(answers)
+    scaled = np.array([a.value for a in answers], dtype=np.int64) * _product(params.diff, q)
+    scaled, bound = _fit(scaled, top * top, q, _INT64_MAX // top)
+    terms, bound = _fit(scaled[:, None] * params.cauchy, bound * top, q, _INT64_MAX // n)
+    sums = _fit(terms.sum(axis=0), bound * n, q, _INT64_MAX // top)[0]
     decoded = _reduce(-_dual_weights(params.f, q) * sums, q)
     return tuple(map(params.field, decoded.tolist()))
 
@@ -525,11 +504,10 @@ def expected_combination(config: AsymmConfig, messages: MessageBank,
                          coeffs: CoefficientBank) -> tuple[FieldElement, ...]:
     """The target linear combination, computed directly from plaintext."""
     field = messages.field
-    acc = np.zeros(messages.values[0].shape[1], dtype=np.int64)
-    for w, lam in zip(messages.values, coeffs.values):
-        acc += _reduce(lam * w, field.q).sum(axis=0)
-        _reduce(acc, field.q)
-    return tuple(map(field, acc.tolist()))
+    top = field.q - 1
+    products = np.concatenate(coeffs.values) * np.concatenate(messages.values)
+    products = _fit(products, top * top, field.q, _INT64_MAX // len(products))[0]
+    return tuple(map(field, _reduce(products.sum(axis=0), field.q).tolist()))
 
 
 def _lemma_points(nodes, q: int) -> list[int]:

@@ -48,13 +48,13 @@ class Mutant:
 MUTANTS = (
     # every storage noise term at a^0: the servers of a set share one mask
     Mutant("constant-storage-points", "scheme.py",
-           "block = _mask(params.alpha[rows], z, q)",
-           "block = _mask(np.ones_like(params.alpha[rows]), z, q)",
+           "block += _mask(params.alpha[rows],",
+           "block += _mask(np.ones_like(params.alpha[rows]),",
            ("audit", "--x", "2", "--t", "0", "--exhaustive"), "exhaustive"),
     # the query-side twin: every query noise term at (a - f_l) a^0
     Mutant("constant-query-points", "scheme.py",
-           "block = _mask(a, z, q)",
-           "block = _mask(np.ones_like(a), z, q)",
+           "block = _mask(params.alpha[rows],",
+           "block = _mask(np.ones_like(params.alpha[rows]),",
            ("audit", "--x", "0", "--t", "2", "--exhaustive"), "exhaustive"),
     # a constant top noise term: each share or query carries one noise
     # variable fewer plus an offset that a probe without the zero run
@@ -65,15 +65,21 @@ MUTANTS = (
            ("audit", "--x", "2", "--t", "0", "--exhaustive"), "exhaustive"),
     # queries without the (a - f_l) factor: the answers no longer decode
     Mutant("no-query-noise-factor", "scheme.py",
-           "        block *= params.diff[rows][:, :, None]\n",
+           "        block *= params.diff[rows][:, None, :]\n",
            "",
            ("simulate", "--x", "0", "--t", "1"), "match"),
     # a reduction kernel that subtracts a // q copies of q - 1, not of q:
     # every residue array is off, and the decoded symbols with it
-    Mutant("reduce-by-wrong-multiple", "scheme.py",
+    Mutant("reduce-by-wrong-multiple", "ff.py",
            "    r *= q\n",
            "    r *= q - 1\n",
            ("simulate", "--x", "0", "--t", "1"), "match"),
+    # the int64 limit the reduction bounds are checked against, raised out
+    # of reach: no intermediate is reduced, and near q = 2^31 products wrap
+    Mutant("unreachable-int64-limit", "ff.py",
+           "_INT64_MAX = 2**63 - 1",
+           "_INT64_MAX = 2**200",
+           ("simulate", "--x", "0", "--t", "1", "--field", "2147483647"), "match"),
     # L twice the lcm of the vertex denominators: tau doubles with it, so
     # the rate is unchanged, and only the lowest-terms proof notices
     Mutant("doubled-l-value", "capacity.py",

@@ -132,10 +132,10 @@ def per_column_products(points, nodes, q, skip_own=False):
     return out
 
 
-def reference_round(config, q, seed):
+def reference_round(config, q, seed, alpha=None):
     n_servers, l_value = config.n_servers, config.l_effective
     sets = range(1, config.m_count + 1)
-    alpha = list(range(1, n_servers + 1))
+    alpha = list(range(1, n_servers + 1)) if alpha is None else alpha
     f = [(n_servers + l) % q for l in range(1, l_value + 1)]
     group = {m: config.pattern.servers_of(m) for m in sets}
     count = {m: config.pattern.count_of(m) for m in sets}
@@ -210,10 +210,13 @@ def as_blocks(blocks, params):
             for r, n in enumerate(params.group_of(m))}
 
 
-def assert_round_matches(config, seed, field_override=None):
+def assert_round_matches(config, seed, field_override=None, alpha=None):
+    """The round at setup's points, or at the given ones (then not simulate's)."""
     params = setup(config, field_override)
     q = params.field.q
-    ref = reference_round(config, q, seed)
+    if alpha is not None:
+        params = dataclasses.replace(params, alpha=np.array(alpha, dtype=np.int64))
+    ref = reference_round(config, q, seed, alpha)
 
     assert {(m, l + 1): int(e) for m, row in enumerate(params.u, start=1)
             for l, e in enumerate(row)} == ref["u"]
@@ -240,12 +243,18 @@ def assert_round_matches(config, seed, field_override=None):
     assert [e.value for e in expected_combination(config, messages, coeffs)] \
         == ref["expected"] == ref["decoded"]
 
+    if alpha is not None:
+        return
     run = simulate(config, seed, field_override).transcript
     assert [a.value for a in run.answers] == ref["answers"]
     assert [d.value for d in run.decoded] == ref["decoded"]
 
 
-@pytest.mark.parametrize("field_override", [None, 2**31 - 1])
+# the smallest default field, two between, and the largest the int64 kernels take
+FIELDS = [None, 101, 65521, 2**31 - 1]
+
+
+@pytest.mark.parametrize("field_override", FIELDS)
 def test_arrays_match_per_symbol_reference(field_override):
     rng = random.Random(5503)
     for _ in range(30):
@@ -273,10 +282,21 @@ MIXED = AsymmConfig(StoragePattern(6, (MessageSet((1, 2, 3, 4, 5), count=2),
                                        MessageSet((2, 3, 4, 5, 6)),
                                        MessageSet((1, 3, 4, 6), count=3))),
                     (0, 2, 1), (2, 0, 1))
+# noise depths 3 and 4 next to 0: Horner steps past the first int64 bound
+DEEP = AsymmConfig(StoragePattern(9, (MessageSet(tuple(range(1, 10)), count=2),
+                                      MessageSet((2, 4, 5, 6, 7, 8, 9)))),
+                   (4, 0), (3, 4))
+# groups of every width 1-10, odd ones included, for the halving products;
+# N = 10 and L = 1 put f at 0 in the default field F_11, so the Cauchy
+# table there inverts every nonzero residue
+WIDTHS = AsymmConfig(StoragePattern(10, tuple(MessageSet(tuple(range(11 - w, 11)))
+                                              for w in range(1, 11))), (0,) * 10, (0,) * 10)
+TABLE_CONFIGS = {"ragged": RAGGED, "single": SINGLE, "mixed": MIXED, "deep": DEEP,
+                 "widths": WIDTHS}
 
 
-@pytest.mark.parametrize("config", [RAGGED, SINGLE, MIXED], ids=["ragged", "single", "mixed"])
-@pytest.mark.parametrize("field_override", [None, 2**31 - 1])
+@pytest.mark.parametrize("config", TABLE_CONFIGS.values(), ids=TABLE_CONFIGS.keys())
+@pytest.mark.parametrize("field_override", FIELDS)
 def test_setup_matches_per_group_products(config, field_override):
     params = setup(config, field_override)
     q = params.field.q
@@ -289,27 +309,35 @@ def test_setup_matches_per_group_products(config, field_override):
     assert params.cauchy.tolist() == [[pow(a - f_l, q - 2, q) for f_l in f] for a in alpha]
 
 
-@pytest.mark.parametrize("config", [RAGGED, SINGLE, MIXED], ids=["ragged", "single", "mixed"])
+@pytest.mark.parametrize("config", TABLE_CONFIGS.values(), ids=TABLE_CONFIGS.keys())
 def test_moved_points_carry_matching_tables(config):
     params = setup(config, 2**31 - 1)
     q = params.field.q
     stale = params.cauchy
-    moved = dataclasses.replace(params, alpha=params.alpha * 7 + 1000)
-    assert not np.array_equal(moved.cauchy, stale)
-    alpha, f = moved.alpha.tolist(), moved.f.tolist()
-    for m, group in enumerate(moved.groups):
-        points = moved.alpha[np.asarray(group) - 1]
-        assert moved.u[m].tolist() == per_column_products(moved.f, points, q).tolist()
-        assert moved.v[m].tolist() == [pow(int(p), q - 2, q) for p in
-                                       per_column_products(points, points, q, skip_own=True)]
-    assert moved.cauchy.tolist() == [[pow(a - f_l, q - 2, q) for f_l in f] for a in alpha]
+    # points off the residues, then uniform residues of this, the largest, field
+    for moved_alpha in (params.alpha * 7 + 1000,
+                        np.random.default_rng(len(params.alpha)).integers(0, q, len(params.alpha))):
+        moved = dataclasses.replace(params, alpha=moved_alpha)
+        assert not np.array_equal(moved.cauchy, stale)
+        alpha, f = moved.alpha.tolist(), moved.f.tolist()
+        for m, group in enumerate(moved.groups):
+            points = moved.alpha[np.asarray(group) - 1]
+            assert moved.u[m].tolist() == per_column_products(moved.f, points, q).tolist()
+            assert moved.v[m].tolist() == [pow(int(p), q - 2, q) for p in
+                                           per_column_products(points, points, q, skip_own=True)]
+        assert moved.cauchy.tolist() == [[pow(a - f_l, q - 2, q) for f_l in f] for a in alpha]
 
 
-@pytest.mark.parametrize("config", [RAGGED, SINGLE, MIXED], ids=["ragged", "single", "mixed"])
-@pytest.mark.parametrize("field_override", [None, 2**31 - 1])
+@pytest.mark.parametrize("config", [RAGGED, SINGLE, MIXED, DEEP],
+                         ids=["ragged", "single", "mixed", "deep"])
+@pytest.mark.parametrize("field_override", FIELDS)
 def test_masks_match_per_symbol_reference(config, field_override):
     for seed in range(3):
         assert_round_matches(config, seed, field_override)
+    if field_override == 2**31 - 1:
+        # the points -n: residues near q, so a deep Horner step needs its int64 bound
+        assert_round_matches(config, 3, field_override,
+                             [field_override - n for n in range(1, config.n_servers + 1)])
 
 
 @st.composite
@@ -319,7 +347,7 @@ def decode_cases(draw):
     l_value = draw(st.integers(1, n))
     config = AsymmConfig(StoragePattern(n, (MessageSet(tuple(range(1, n + 1))),)),
                          (0,), (0,), l_value)
-    params = setup(config, draw(st.sampled_from((None, 101, 2**31 - 1))))
+    params = setup(config, draw(st.sampled_from(FIELDS)))
     q = params.field.q
     entry = st.one_of(st.integers(0, q - 1), st.sampled_from([0, 1, q - 1]))
     return params, draw(st.lists(entry, min_size=n, max_size=n))
